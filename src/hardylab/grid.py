@@ -105,8 +105,13 @@ def taylor_coefficients(f: BoundarySamples, m: int) -> np.ndarray:
     n = f.grid.size
     if m >= n // 2:
         raise GridError(f"need m < N/2 to avoid aliasing, got m={m}, N={n}")
-    k = np.arange(m + 1)
-    return np.fft.fft(f.values)[: m + 1] / n * np.exp(-1j * np.pi * k / n)
+    return coefficients_from_fft(np.fft.fft(f.values), m)
+
+
+def coefficients_from_fft(spectrum: np.ndarray, m: int) -> np.ndarray:
+    """c_0..c_m from the FFT of samples on the offset grid (no guard)."""
+    n = spectrum.size
+    return spectrum[: m + 1] / n * np.exp(-1j * np.pi * np.arange(m + 1) / n)
 
 
 def hardy_norm(f: BoundarySamples, p: float = 2.0) -> float:

@@ -3,9 +3,12 @@
 Two routes to the singular values:
 
 * ``operator_matrix`` + ``singular_values``: the coefficient matrix of
-  f -> w (f o phi) in the monomial basis, columns extracted from boundary
-  products by FFT.  Faithful to the operator but doubly truncated; every
-  experiment stamps it with a truncation study.
+  f -> w (f o phi) in the monomial basis, a Krylov matrix of the analytic
+  Toeplitz operator T_phi (Cowen-MacCluer): column n+1 is T_phi applied to
+  column n, starting from the coefficients of w.  Built from the first R
+  Taylor coefficients of the (analytic) traces of w and phi, independent
+  of N, and stable since ||T_phi|| <= ||phi||_inf <= 1.  Doubly
+  truncated; every experiment stamps it with a truncation study.
 * ``embedding_spectrum``: the weighted composition operator has the same
   singular numbers as the embedding of H^2 into L^2 of the pull-back
   measure, whose Gram matrix against an atomic measure is the closed-form
@@ -23,7 +26,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples, GridError, IntegralResult
+from .grid import (BoundaryGrid, BoundarySamples, GridError, IntegralResult,
+                   coefficients_from_fft)
 from .carleson import CarlesonReport, PullbackMeasure
 
 __all__ = [
@@ -47,6 +51,10 @@ __all__ = [
 # sub-grid quadratures drift by more than 5% or the value explodes.
 INTEGRAL_DRIFT_TOL = 0.05
 INTEGRAL_MAGNITUDE_CAP = 1e6
+
+# Matrix-route analyticity guard: a trace with more than this share of its
+# energy at negative frequencies is not the trace of an analytic function.
+ANALYTIC_NEGATIVE_SHARE = 1e-2
 
 # decay_fit defaults: skip the transient head, drop values at the noise
 # floor, refuse fits with large log-log residual.
@@ -94,13 +102,36 @@ class SingularSpectrum:
         return "\n".join(lines) + "\n"
 
 
+def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
+    """First ``rows`` Taylor coefficients; refuses a non-analytic trace."""
+    spectrum = np.fft.fft(trace.values)
+    negative = spectrum[trace.grid.size // 2 + 1:]
+    total = np.vdot(spectrum, spectrum).real
+    share = np.vdot(negative, negative).real / total if total > 0 else 0.0
+    if share > ANALYTIC_NEGATIVE_SHARE:
+        raise GridError(
+            f"{name} trace is not analytic: {share:.3g} of its energy lies at "
+            f"negative frequencies (limit {ANALYTIC_NEGATIVE_SHARE:g})"
+        )
+    return coefficients_from_fft(spectrum, rows - 1)
+
+
 def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
                     row_cut: int, col_cut: int) -> OperatorMatrix:
     """Truncated matrix of f -> w (f o phi) in the monomial basis.
 
-    Column n holds the first row_cut+1 coefficients of the boundary product
-    w* (phi*)^n, built from a running product so each column costs one
-    multiply and one FFT.  Cuts beyond N/4 are rejected (aliasing guard).
+    Column n holds the first R = row_cut+1 coefficients of w phi^n, from
+    the Toeplitz-Krylov recursion col_0 = w[:R], col_{n+1} = T col_n with T
+    the R x R lower-triangular Toeplitz matrix of phi[:R].  This is exact
+    for the truncation (the first R coefficients of a product depend only
+    on the first R of each factor), and stable: T is a compression of
+    T_phi, so ||T|| <= ||phi||_inf <= 1.  Cost after one FFT per trace:
+    O(col_cut R^2), independent of N.
+
+    Both traces must be analytic: one with more than 1% of its energy at
+    negative frequencies (e.g. the flat-phase trace of a log-divergent
+    weight) raises GridError.  Cuts at or beyond N/4 are rejected; the
+    guard keeps the coefficients of w and phi clear of aliasing.
     """
     if wtrace.grid is not phitrace.grid and wtrace.grid.size != phitrace.grid.size:
         raise GridError("traces must share a grid")
@@ -108,14 +139,12 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
     if row_cut >= n // 4 or col_cut >= n // 4:
         raise GridError(f"cuts must stay below N/4 = {n // 4}")
     k = np.arange(row_cut + 1)
-    phase = np.exp(-1j * np.pi * k / n)
+    phi = _analytic_head(phitrace, row_cut + 1, "symbol")
+    toeplitz = np.tril(phi[k[:, None] - k])
     entries = np.empty((row_cut + 1, col_cut + 1), dtype=complex)
-    g = np.asarray(wtrace.values, dtype=complex).copy()
-    phi = np.asarray(phitrace.values, dtype=complex)
-    for col in range(col_cut + 1):
-        entries[:, col] = np.fft.fft(g)[: row_cut + 1] / n * phase
-        if col < col_cut:
-            g *= phi
+    entries[:, 0] = _analytic_head(wtrace, row_cut + 1, "weight")
+    for col in range(col_cut):
+        entries[:, col + 1] = toeplitz @ entries[:, col]
     return OperatorMatrix(entries=entries, row_cut=row_cut, col_cut=col_cut,
                           grid_size=n)
 
@@ -183,28 +212,25 @@ def hs_norm_boundary(wtrace: BoundarySamples, phitrace: BoundarySamples,
     """Quadrature of |w*|^2/(1 - |phi*|^2): the Hilbert-Schmidt norm squared.
 
     Equals the sum over n of the squared norms of the images of the
-    monomials.  ``phi_co`` (samples of 1 - |phi*|) avoids cancellation for
-    symbols hugging the circle.  Divergence is a return state.
+    monomials; this is ``moment_integral`` at alpha = 1.
     """
-    dens = np.abs(np.asarray(wtrace.values)) ** 2
-    denom = _one_minus_mod_sq(phitrace, phi_co)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(denom > 0.0, dens / denom, np.inf)
-    if np.any(~np.isfinite(integrand) & (dens > 0.0)):
-        return IntegralResult(float("inf"), True)
-    integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-    return _stable_quadrature(integrand)
+    return moment_integral(wtrace, phitrace, 1.0, phi_co=phi_co)
 
 
 def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
                     alpha: float, phi_co=None) -> IntegralResult:
-    """Quadrature of |w*|^2 (1 - |phi*|^2)^{-alpha} with the divergence rule."""
+    """Quadrature of |w*|^2 (1 - |phi*|^2)^{-alpha} with the divergence rule.
+
+    ``phi_co`` (samples of 1 - |phi*|) avoids cancellation for symbols
+    hugging the circle; dividing by base**alpha (not multiplying by
+    base**-alpha) keeps subnormal bases finite.  Divergence is a return state.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     dens = np.abs(np.asarray(wtrace.values)) ** 2
     base = _one_minus_mod_sq(phitrace, phi_co)
     with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(base > 0.0, dens * base**-alpha, np.inf)
+        integrand = np.where(base > 0.0, dens / base**alpha, np.inf)
     if np.any(~np.isfinite(integrand) & (dens > 0.0)):
         return IntegralResult(float("inf"), True)
     integrand = np.where(np.isfinite(integrand), integrand, 0.0)

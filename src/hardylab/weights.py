@@ -287,8 +287,12 @@ def staircase_weight(levels: LevelSets, delta: Sequence[float]):
     converging over the available range ("divergent staircase" otherwise).
     """
     d = np.asarray(delta, dtype=float)
-    if np.any(d <= 0) or np.any(d > 1):
+    if np.any(d < 0) or np.any(d > 1):
         raise WeightError("staircase deltas must lie in (0, 1]")
+    if np.any(d == 0):
+        k = int(np.flatnonzero(d == 0)[0]) + 1
+        raise WeightError(f"staircase delta_{k} underflows to 0: level k={k} "
+                          "is beyond the float range")
     k_count = min(len(d), levels.k_max)
     c = levels.masses[1 : k_count + 1]
     terms = c * np.log(1.0 / d[:k_count])

@@ -258,3 +258,16 @@ def test_parse_weight_staircase_file(tmp_path):
     np.savetxt(path, stretched_staircase_delta(2.0, 8), delimiter=",")
     w = parse_weight(f"staircase:{path}", phi, g)
     assert w.name == "staircase"
+
+
+def test_staircase_default_underflow_names_level():
+    # exp(-4^k/k^2) underflows to 0 from k = 8 on; the refusal says so
+    with pytest.raises(WeightError, match="delta_8 underflows to 0"):
+        parse_weight("staircase:default", beta_exp(0.5), make_grid(1 << 10))
+    with pytest.raises(WeightError, match=r"\(0, 1\]"):
+        staircase_weight(level_sets(beta_exp(2.0), make_grid(1 << 10)), [0.5, -0.1])
+
+
+def test_staircase_default_betaexp2_builds_at_large_n():
+    w = parse_weight("staircase:default", beta_exp(2.0), make_grid(1 << 18))
+    assert w.name == "staircase" and not w.log_divergent
