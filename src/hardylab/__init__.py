@@ -14,6 +14,7 @@ from .grid import (
     log_integral,
     make_grid,
     quadrature,
+    refined_mean,
     taylor_coefficients,
 )
 from .outer import (
@@ -28,7 +29,7 @@ from .symbols import (
     LevelSets,
     Symbol,
     beta_exp,
-    boundary_trace,
+    co_modulus,
     constant,
     custom_outer,
     extreme_not_exposed,
@@ -67,6 +68,7 @@ from .carleson import (
     luecking_sum,
     pullback,
     pullback_graded,
+    series_verdict,
     simp_bound,
     window_mass,
 )

@@ -18,12 +18,12 @@ Conventions, fixed so that partitions are exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TWO_PI, BoundaryGrid, BoundarySamples
+from .grid import TWO_PI, BoundarySamples
 from .symbols import Symbol
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "window_mass",
     "carleson_profile",
     "luecking_sum",
+    "series_verdict",
     "annulus_mass",
     "simp_bound",
 ]
@@ -46,10 +47,9 @@ HEAVY_CENTERS = 64
 # Cap on dyadic root centers per profile level.
 MAX_ROOT_CENTERS = 2**18
 
-# Verdict rule constants for the box-counting sums: a fitted tail exponent
-# above S_CONVERGING (or a final increment below REL_INCREMENT of the total)
-# reads as a converging series, an exponent below S_DIVERGING as diverging.
-REL_INCREMENT = 0.01
+# Series verdict: a fitted tail exponent above S_CONVERGING reads as a
+# converging series, one below S_DIVERGING as diverging.  Box-counting sums
+# over fewer than MIN_LEVELS levels are inconclusive.
 S_CONVERGING = 1.25
 S_DIVERGING = 1.0
 MIN_LEVELS = 8
@@ -274,13 +274,6 @@ class LueckingReport:
     def total(self) -> float:
         return float(self.partial_sums[-1])
 
-    def to_csv(self) -> str:
-        lines = ["level,inner_sum,partial_sum"]
-        for n, inner, part in zip(self.levels, self.per_level,
-                                  self.partial_sums):
-            lines.append(f"{n},{inner:.17g},{part:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def _tail_exponent(levels: np.ndarray, increments: np.ndarray) -> float | None:
     """Fitted power-law exponent s of increments ~ n^{-s} over the tail."""
@@ -292,19 +285,22 @@ def _tail_exponent(levels: np.ndarray, increments: np.ndarray) -> float | None:
     return -float(np.polyfit(x, y, 1)[0])
 
 
-def _series_verdict(levels: np.ndarray, per_level: np.ndarray,
-                    partial: np.ndarray) -> str:
-    if len(levels) < MIN_LEVELS:
-        return "inconclusive"
-    total = partial[-1]
-    if total == 0.0:
+def series_verdict(indices, terms) -> str:
+    """"converging", "diverging" or "inconclusive" for the series sum terms.
+
+    A zero sum or a zero last term (finite support) converges.  Otherwise
+    the verdict reads the power s of terms ~ n^{-s} fitted over the tail:
+    above S_CONVERGING converging, below S_DIVERGING diverging, and
+    inconclusive in between or when the tail has too few positive terms.
+    """
+    terms = np.asarray(terms, dtype=float)
+    if float(np.sum(terms)) == 0.0 or terms[-1] == 0.0:
         return "converging"
-    rel_inc = per_level[-1] / total
-    s = _tail_exponent(levels, per_level)
-    if rel_inc < REL_INCREMENT or (s is not None and s > S_CONVERGING):
-        return "converging"
+    s = _tail_exponent(np.asarray(indices), terms)
     if s is None:
         return "inconclusive"
+    if s > S_CONVERGING:
+        return "converging"
     if s < S_DIVERGING:
         return "diverging"
     return "inconclusive"
@@ -314,8 +310,8 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     """Box-counting sums of the S_p embedding criterion up to level n_max.
 
     Level n sums [2^n mu(box)]^{p/2} over the 2^n aligned half-open boxes
-    tiling the dyadic corona; the verdict applies the documented
-    stabilization rule to the partial sums.
+    tiling the dyadic corona; the verdict is :func:`series_verdict` of the
+    per-level sums, or "inconclusive" below MIN_LEVELS levels.
     """
     if p <= 0:
         raise ValueError("Schatten exponent must be positive")
@@ -329,14 +325,15 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
         masses = np.bincount(boxes, weights=mu.masses[sel], minlength=1 << n)
         nz = masses[masses > 0]
         per_level[n] = float(np.sum((nz * (1 << n)) ** (p / 2.0)))
-    partial = np.cumsum(per_level)
     levels = np.arange(n_max + 1)
+    verdict = (series_verdict(levels, per_level) if len(levels) >= MIN_LEVELS
+               else "inconclusive")
     return LueckingReport(
         p=p,
         levels=levels,
         per_level=per_level,
-        partial_sums=partial,
-        verdict=_series_verdict(levels, per_level, partial),
+        partial_sums=np.cumsum(per_level),
+        verdict=verdict,
     )
 
 
@@ -364,12 +361,6 @@ class CarlesonReport:
     def vanishing_score(self) -> float:
         top = self.ratio[0]
         return float(self.ratio[-1] / top) if top > 0 else 0.0
-
-    def to_csv(self) -> str:
-        lines = ["level,h,rho,rho_over_h"]
-        for n, hh, rr, rat in zip(self.levels, self.h, self.rho, self.ratio):
-            lines.append(f"{n},{hh:.17g},{rr:.17g},{rat:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def _arc_masses(sorted_angles, prefix, lo, hi):

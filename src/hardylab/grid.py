@@ -24,16 +24,18 @@ __all__ = [
     "taylor_coefficients",
     "hardy_norm",
     "log_integral",
+    "refined_mean",
 ]
 
 TWO_PI = 2.0 * np.pi
 
 # Samples at or below this magnitude make log(u) numerically meaningless.
 UNDERFLOW_FLOOR = 1e-300
-# |integral of log u| beyond this counts as divergent.
-LOG_MAGNITUDE_THRESHOLD = 1e3
-# Relative drift between nested sub-grid quadratures that counts as unstable.
-LOG_STABILITY_TOL = 0.01
+# Divergence rule of refined_mean: a mean of |v| beyond the cap, or a drift
+# between the full grid and its stride-2/4 sub-grids beyond this fraction of
+# the integrand's scale, counts as divergent.
+MAGNITUDE_CAP = 1e6
+DRIFT_TOL = 0.03
 
 
 class GridError(ValueError):
@@ -121,23 +123,34 @@ def hardy_norm(f: BoundarySamples, p: float = 2.0) -> float:
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
 
-def _subgrid_means(logs: np.ndarray) -> list[float]:
-    # Stride-2 and stride-4 subsets are themselves uniform quadrature rules;
-    # disagreement between them flags a non-converging integral.
-    return [float(np.mean(logs[::2])), float(np.mean(logs[::4]))]
+def refined_mean(values) -> IntegralResult:
+    """Grid mean of ``values`` with the drift-under-refinement divergence rule.
+
+    The stride-2 and stride-4 subsets are themselves uniform quadrature
+    rules; a mean that moves between them by more than DRIFT_TOL of
+    max(|mean|, mean |v|) fails to stabilize under refinement.  Drift is
+    measured against the L1 mass so a zero-mean integrand (e.g. the
+    log-modulus of a monic outer function) is not "unstable".  Non-finite
+    samples and a mean |v| beyond MAGNITUDE_CAP are divergent outright.
+    """
+    v = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = float(np.mean(v))
+        mass = float(np.mean(np.abs(v)))
+    # mean |v| is finite exactly when every sample is
+    if not np.isfinite(mass) or mass > MAGNITUDE_CAP:
+        return IntegralResult(mean, True)
+    scale = max(abs(mean), mass, 1e-12)
+    drift = max(abs(mean - float(np.mean(v[::s]))) for s in (2, 4))
+    return IntegralResult(mean, bool(drift > DRIFT_TOL * scale))
 
 
-def log_integral(
-    u: BoundarySamples,
-    magnitude_threshold: float = LOG_MAGNITUDE_THRESHOLD,
-    stability_tol: float = LOG_STABILITY_TOL,
-) -> IntegralResult:
+def log_integral(u: BoundarySamples) -> IntegralResult:
     """Integral of log u over the circle for u with values in (0, 1].
 
-    Divergence is a return state, not an error.  It is declared when a
-    sample underflows, when the quadrature of |log u| exceeds the magnitude
-    threshold, or when nested sub-grid quadratures drift by more than the
-    stability tolerance (the integral fails to stabilize under refinement).
+    Divergence is a return state, not an error: a sample at or below
+    UNDERFLOW_FLOOR returns (-inf, divergent), otherwise the verdict is that
+    of :func:`refined_mean` on log u.
     """
     v = np.asarray(u.values, dtype=float)
     if np.any(v <= 0.0) or np.any(v > 1.0 + 1e-9):
@@ -145,13 +158,4 @@ def log_integral(
     v = np.minimum(v, 1.0)
     if np.any(v <= UNDERFLOW_FLOOR):
         return IntegralResult(float("-inf"), True)
-    logs = np.log(v)
-    value = float(np.mean(logs))
-    mass = float(np.mean(np.abs(logs)))
-    if mass > magnitude_threshold:
-        return IntegralResult(value, True)
-    # drift measured against the L1 mass of the integrand: a zero-mean
-    # log-modulus (e.g. of a monic outer function) is not "unstable"
-    scale = max(abs(value), mass, 1e-12)
-    drift = max(abs(value - sub) for sub in _subgrid_means(logs))
-    return IntegralResult(value, bool(drift > stability_tol * scale))
+    return refined_mean(np.log(v))

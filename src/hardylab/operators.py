@@ -26,9 +26,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import (BoundaryGrid, BoundarySamples, GridError, IntegralResult,
-                   coefficients_from_fft)
-from .carleson import CarlesonReport, PullbackMeasure
+from .grid import (BoundarySamples, GridError, IntegralResult,
+                   coefficients_from_fft, refined_mean)
+from .carleson import PullbackMeasure
 
 __all__ = [
     "OperatorMatrix",
@@ -46,11 +46,6 @@ __all__ = [
     "decay_fit",
     "truncation_study",
 ]
-
-# Divergence rule for quadrature-based integrals: flagged when nested
-# sub-grid quadratures drift by more than 5% or the value explodes.
-INTEGRAL_DRIFT_TOL = 0.05
-INTEGRAL_MAGNITUDE_CAP = 1e6
 
 # Matrix-route analyticity guard: a trace with more than this share of its
 # energy at negative frequencies is not the trace of an analytic function.
@@ -94,12 +89,6 @@ class SingularSpectrum:
 
     def __len__(self):
         return len(self.values)
-
-    def to_csv(self) -> str:
-        lines = ["n,s_n"]
-        for i, s in enumerate(self.values, start=1):
-            lines.append(f"{i},{s:.17g}")
-        return "\n".join(lines) + "\n"
 
 
 def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
@@ -183,18 +172,6 @@ def embedding_spectrum(mu: PullbackMeasure) -> SingularSpectrum:
                             grid_size=z.size, source="kernel", floor=floor)
 
 
-def _stable_quadrature(values: np.ndarray) -> IntegralResult:
-    """Mean with the drift-under-refinement divergence rule."""
-    full = float(np.mean(values))
-    half = float(np.mean(values[::2]))
-    quarter = float(np.mean(values[::4]))
-    if not np.isfinite(full) or abs(full) > INTEGRAL_MAGNITUDE_CAP:
-        return IntegralResult(full, True)
-    scale = max(abs(full), 1e-12)
-    drift = max(abs(full - half), abs(half - quarter))
-    return IntegralResult(full, bool(drift > INTEGRAL_DRIFT_TOL * scale))
-
-
 def _one_minus_mod_sq(phitrace: BoundarySamples, phi_co) -> np.ndarray:
     """1 - |phi*|^2, preferring a cancellation-free co-modulus when given."""
     if phi_co is not None:
@@ -219,7 +196,8 @@ def hs_norm_boundary(wtrace: BoundarySamples, phitrace: BoundarySamples,
 
 def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
                     alpha: float, phi_co=None) -> IntegralResult:
-    """Quadrature of |w*|^2 (1 - |phi*|^2)^{-alpha} with the divergence rule.
+    """Quadrature of |w*|^2 (1 - |phi*|^2)^{-alpha}, with the divergence rule
+    of :func:`hardylab.grid.refined_mean`.
 
     ``phi_co`` (samples of 1 - |phi*|) avoids cancellation for symbols
     hugging the circle; dividing by base**alpha (not multiplying by
@@ -234,7 +212,7 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
     if np.any(~np.isfinite(integrand) & (dens > 0.0)):
         return IntegralResult(float("inf"), True)
     integrand = np.where(np.isfinite(integrand), integrand, 0.0)
-    return _stable_quadrature(integrand)
+    return refined_mean(integrand)
 
 
 class SchattenEstimate(NamedTuple):
@@ -283,12 +261,6 @@ class ColumnNorms:
         total = self.total
         return float(self.norms[half:].sum() / total) if total > 0 else 0.0
 
-    def to_csv(self) -> str:
-        lines = ["n,norm_p"]
-        for i, v in enumerate(self.norms):
-            lines.append(f"{i},{v:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def column_pnorms(wtrace: BoundarySamples, phitrace: BoundarySamples,
                   p: float, n_max: int) -> ColumnNorms:
@@ -315,15 +287,6 @@ class DecayFit:
     residual: float
     window: tuple
     ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "gamma": self.gamma,
-            "residual": self.residual,
-            "window": list(self.window),
-            "ok": self.ok,
-        }
 
 
 def decay_fit(spectrum: SingularSpectrum, window: tuple | None = None,

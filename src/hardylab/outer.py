@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    LOG_MAGNITUDE_THRESHOLD,
-    LOG_STABILITY_TOL,
-    BoundaryGrid,
-    BoundarySamples,
-)
+from .grid import BoundaryGrid, BoundarySamples, refined_mean
 
 __all__ = [
     "NotLogIntegrableError",
@@ -27,7 +22,6 @@ __all__ = [
     "OuterFunction",
     "hilbert_transform",
     "herglotz_map",
-    "log_divergence_flag",
     "outer_from_modulus",
 ]
 
@@ -125,40 +119,20 @@ def herglotz_map(u: BoundarySamples) -> HerglotzFunction:
     return HerglotzFunction(u.grid, data)
 
 
-def log_divergence_flag(logs: np.ndarray) -> bool:
-    """True when boundary log-data fails the integrability proxy.
-
-    Same rule set as :func:`hardylab.grid.log_integral`: non-finite samples,
-    magnitude beyond the threshold, or drift between nested sub-grid
-    quadratures beyond the stability tolerance.
-    """
-    if not np.isfinite(logs).all():
-        return True
-    mass = float(np.mean(np.abs(logs)))
-    if mass > LOG_MAGNITUDE_THRESHOLD:
-        return True
-    value = float(np.mean(logs))
-    scale = max(abs(value), mass, 1e-12)
-    drift = max(
-        abs(value - float(np.mean(logs[::2]))),
-        abs(value - float(np.mean(logs[::4]))),
-    )
-    return drift > LOG_STABILITY_TOL * scale
-
-
 def outer_from_modulus(u: BoundarySamples, strict: bool = True) -> OuterFunction:
     """Outer function with |w*| = u at the grid points.
 
-    With ``strict`` (default) a modulus failing the log-integrability check
-    raises :class:`NotLogIntegrableError`; otherwise the divergence is
-    recorded on the result.
+    With ``strict`` (default) a modulus whose log fails the divergence rule
+    of :func:`hardylab.grid.refined_mean` raises
+    :class:`NotLogIntegrableError`; otherwise the divergence is recorded on
+    the result.
     """
     vals = np.asarray(u.values, dtype=float)
     if np.any(vals < 0) or np.any(~np.isfinite(vals)):
         raise ValueError("modulus samples must be finite and nonnegative")
     with np.errstate(divide="ignore"):
         logs = np.log(vals)
-    divergent = log_divergence_flag(logs)
+    divergent = refined_mean(logs).divergent
     if divergent and strict:
         raise NotLogIntegrableError("not log-integrable")
     return OuterFunction(u.grid, logs, log_divergent=divergent)

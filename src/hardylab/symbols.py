@@ -27,7 +27,7 @@ __all__ = [
     "hs_extremal",
     "custom_outer",
     "constant",
-    "boundary_trace",
+    "co_modulus",
     "level_sets",
     "parse_symbol",
 ]
@@ -63,10 +63,6 @@ class Symbol:
 
     def trace(self, grid: BoundaryGrid) -> BoundarySamples:
         return grid.samples(self._trace_fn(grid))
-
-    @property
-    def has_angle_trace(self) -> bool:
-        return self._angle_trace_fn is not None
 
     def trace_of_angle(self, t):
         """Boundary trace at arbitrary angles; closed-form symbols only."""
@@ -313,9 +309,18 @@ def constant(c: complex) -> Symbol:
     )
 
 
-def boundary_trace(phi: Symbol, grid: BoundaryGrid):
-    """Boundary trace and closed-form modulus of a symbol on a grid."""
-    return phi.trace(grid), phi.modulus(grid)
+def co_modulus(phi, grid: BoundaryGrid | None = None) -> BoundarySamples:
+    """Samples of 1 - |phi*|, cancellation-free when phi is a Symbol.
+
+    ``phi`` is a catalog symbol (then ``grid`` is required) or modulus
+    samples (then ``grid`` defaults to theirs).
+    """
+    if isinstance(phi, Symbol):
+        if grid is None:
+            raise ValueError("grid required when phi is a Symbol")
+        return grid.samples(phi.co_modulus_of_angle(grid.signed_angles()))
+    values = 1.0 - np.asarray(phi.values, dtype=float)
+    return (phi.grid if grid is None else grid).samples(values)
 
 
 @dataclass(frozen=True)
@@ -369,11 +374,7 @@ def level_sets(phi, grid: BoundaryGrid, k_max: int | None = None,
                 f"{resolution_cap}"
             )
 
-    if isinstance(phi, Symbol):
-        co = phi.co_modulus_of_angle(grid.signed_angles())
-    else:
-        co = 1.0 - np.asarray(phi.values, dtype=float)
-
+    co = co_modulus(phi, grid).values
     level = np.zeros(n, dtype=np.int64)
     for k in range(1, len(thresholds)):
         level[co < thresholds[k]] = k

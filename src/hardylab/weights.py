@@ -16,16 +16,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples, quadrature
-from .outer import OuterFunction, hilbert_transform, log_divergence_flag
-from .symbols import LevelSets, Symbol, level_sets
-from .carleson import (
-    PullbackMeasure,
-    _box_indices,
-    _corona_levels,
-    _tail_exponent,
-    pullback,
-)
+from .grid import BoundaryGrid, BoundarySamples, refined_mean
+from .outer import OuterFunction, hilbert_transform
+from .symbols import LevelSets, Symbol, co_modulus, level_sets
+from .carleson import _box_indices, _corona_levels, pullback, series_verdict
 
 __all__ = [
     "Weight",
@@ -49,22 +43,6 @@ __all__ = [
 # Deep-approach threshold for the ||phi||_inf = 1 proxy: the co-modulus must
 # drop below this along a dyadic angle ladder toward a contact point.
 NORM_ONE_CO_THRESHOLD = 1e-6
-# A reported series counts as converging when its last term is below this
-# fraction of the total, or its terms decay with a fitted power beyond the
-# summability threshold (quadratic-tail series like sum 1/k^2 keep a last
-# term above 1% at desk-scale truncations).
-SERIES_TOL = 0.01
-SERIES_TAIL_EXPONENT = 1.25
-
-
-def _series_converges(terms: np.ndarray) -> bool:
-    total = float(np.sum(terms))
-    if total == 0.0:
-        return True
-    if terms[-1] <= SERIES_TOL * total:
-        return True
-    s = _tail_exponent(np.arange(1, len(terms) + 1), np.asarray(terms))
-    return s is not None and s > SERIES_TAIL_EXPONENT
 
 
 class WeightError(ValueError):
@@ -95,7 +73,7 @@ class Weight:
 
 def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
             log_modulus: np.ndarray, strict: bool) -> Weight:
-    divergent = log_divergence_flag(log_modulus)
+    divergent = refined_mean(log_modulus).divergent
     if divergent and strict:
         raise WeightError(f"{name}: divergent log-integral")
     if divergent:
@@ -113,13 +91,6 @@ def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
     )
 
 
-def _co_modulus_on(phi, grid: BoundaryGrid) -> np.ndarray:
-    """1 - |phi*| on the grid, cancellation-free when phi is a Symbol."""
-    if isinstance(phi, Symbol):
-        return np.asarray(phi.co_modulus_of_angle(grid.signed_angles()))
-    return 1.0 - np.asarray(phi.values, dtype=float)
-
-
 def unit_weight(grid: BoundaryGrid) -> Weight:
     return _finish("unit", grid, np.ones(grid.size), np.zeros(grid.size),
                    strict=True)
@@ -132,14 +103,10 @@ def hs_weight(phi, grid: BoundaryGrid | None = None, strict: bool = True) -> Wei
     from them).  Raises "divergent log-integral" when log(1 - |phi*|) fails
     the integrability check, unless ``strict=False``.
     """
-    if grid is None:
-        if isinstance(phi, Symbol):
-            raise ValueError("grid required when phi is a Symbol")
-        grid = phi.grid
-    co = _co_modulus_on(phi, grid)
+    co = co_modulus(phi, grid)
     with np.errstate(divide="ignore"):
-        log_modulus = 0.5 * np.log(co)
-    return _finish("hs", grid, np.sqrt(co), log_modulus, strict)
+        log_modulus = 0.5 * np.log(co.values)
+    return _finish("hs", co.grid, np.sqrt(co.values), log_modulus, strict)
 
 
 def default_gauge(k_floor: float = 2.0) -> Callable:
@@ -160,11 +127,8 @@ def power_weight(phi, grid: BoundaryGrid | None = None, exponent=2.0,
     ``exponent`` is a constant K >= 0 (K = 0 passes the unit weight
     through) or a nondecreasing gauge callable evaluated at the modulus.
     """
-    if grid is None:
-        if isinstance(phi, Symbol):
-            raise ValueError("grid required when phi is a Symbol")
-        grid = phi.grid
-    co = _co_modulus_on(phi, grid)
+    samples = co_modulus(phi, grid)
+    grid, co = samples.grid, samples.values
     if callable(exponent):
         expo = np.asarray(exponent(1.0 - co), dtype=float)
         if np.any(expo < 1.0):
@@ -223,7 +187,8 @@ def compactify_weight(levels: LevelSets, n_max: int = 64):
     ks_arr = np.array(ks, dtype=np.int64)
     terms_arr = np.array(terms)
     partial = np.cumsum(terms_arr) if len(terms_arr) else np.zeros(0)
-    cauchy = _series_converges(terms_arr) if len(terms_arr) else True
+    cauchy = series_verdict(np.arange(1, len(terms_arr) + 1),
+                            terms_arr) == "converging"
 
     # log|w*| per sample: sum of -log n over schedule entries with k_n <= level
     log_steps = np.zeros(levels.k_max + 1)
@@ -297,7 +262,7 @@ def staircase_weight(levels: LevelSets, delta: Sequence[float]):
     c = levels.masses[1 : k_count + 1]
     terms = c * np.log(1.0 / d[:k_count])
     partial = np.cumsum(terms)
-    cauchy = _series_converges(terms)
+    cauchy = series_verdict(np.arange(1, k_count + 1), terms) == "converging"
     if not cauchy:
         raise WeightError("divergent staircase")
     log_delta = np.concatenate([[0.0], np.log(d[:k_count]),

@@ -16,6 +16,7 @@ from hardylab.carleson import (
     luecking_sum,
     pullback,
     pullback_graded,
+    series_verdict,
     simp_bound,
     window_mass,
 )
@@ -182,6 +183,28 @@ def test_luecking_rejects_bad_p():
     mu = PullbackMeasure(np.array([0j]), np.array([1.0]))
     with pytest.raises(ValueError):
         luecking_sum(mu, 0.0, 4)
+
+
+def test_luecking_verdicts_on_half():
+    # phi = (1+z)/2 is not Hilbert-Schmidt: the p = 2 level sums grow
+    g = make_grid(2**14)
+    mu = pullback(half().trace(g), 1.0)
+    assert luecking_sum(mu, 2.0, 12).verdict == "diverging"
+    # fewer than eight levels never give a verdict
+    for n_max in (3, 6):
+        assert luecking_sum(mu, 2.0, n_max).verdict == "inconclusive"
+
+
+def test_series_verdict_closed_forms():
+    k = np.arange(1, 41, dtype=float)
+    # the harmonic series diverges, however small its last term is
+    assert series_verdict(k, 1.0 / k) != "converging"
+    assert series_verdict(k, 1.0 / k**2) == "converging"
+    assert series_verdict(k, 2.0**-k) == "converging"
+    assert series_verdict(k, k**-0.5) == "diverging"
+    finite = np.zeros(40)
+    finite[:3] = (1.0, 0.5, 0.25)
+    assert series_verdict(k, finite) == "converging"
 
 
 # ---------------------------------------------------------------- annuli

@@ -13,6 +13,9 @@ from hardylab.grid import (
     quadrature,
     taylor_coefficients,
 )
+from hardylab.outer import outer_from_modulus
+from hardylab.symbols import extreme_not_exposed
+from hardylab.weights import hs_weight
 
 
 def test_grid_angles_offset():
@@ -146,3 +149,21 @@ def test_log_integral_rejects_bad_values():
         log_integral(g.samples(np.full(8, 1.5)))
     with pytest.raises(ValueError):
         log_integral(g.samples(np.zeros(8) - 1.0))
+
+
+@pytest.mark.parametrize("n", [2**10, 2**11])
+def test_one_divergence_rule(n):
+    # log_integral, outer_from_modulus and hs_weight read the same rule:
+    # log(|t|/pi) is integrable, log(e^{-1/|t|}) = -1/|t| is not
+    g = make_grid(n)
+    t = np.abs(g.signed_angles())
+    lin = t / np.pi
+    assert not log_integral(g.samples(lin)).divergent
+    assert not outer_from_modulus(g.samples(lin), strict=False).log_divergent
+    # |w*|^2 = 1 - |phi*| = |t|/pi
+    assert not hs_weight(g.samples(1.0 - lin), strict=False).log_divergent
+    cusp = np.exp(-1.0 / t)
+    assert log_integral(g.samples(cusp)).divergent
+    assert outer_from_modulus(g.samples(cusp), strict=False).log_divergent
+    # extreme_not_exposed has 1 - |phi*| = e^{-1/|t|} in closed form
+    assert hs_weight(extreme_not_exposed(), g, strict=False).log_divergent

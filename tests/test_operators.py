@@ -185,6 +185,19 @@ def test_moment_integral_no_overflow_on_hsx():
     assert hs == m
 
 
+@pytest.mark.parametrize("wspec, divergent", [("boxdecomp", False),
+                                              ("lensdecomp", True)])
+def test_moment_integral_near_drift_tolerance(wspec, divergent):
+    # on lens:0.5 at 2^18 these drift by 1.7% (boxdecomp, a finite moment)
+    # and 5.3% (lensdecomp, integrand about 1/|t|) of their value under
+    # refinement, on either side of the 3% drift tolerance
+    g = make_grid(1 << 18)
+    phi = parse_symbol("lens:0.5")
+    co = phi.co_modulus_of_angle(g.signed_angles())
+    w = parse_weight(wspec, phi, g).trace
+    assert moment_integral(w, phi.trace(g), 1.0, phi_co=co).divergent == divergent
+
+
 def test_moment_integral_rejects_bad_alpha():
     w, phi = _dilation_traces(64)
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from hardylab.grid import make_grid, log_integral
 from hardylab.symbols import (
     beta_exp,
     boundary_contact_fraction,
-    boundary_trace,
     constant,
     custom_outer,
     extreme_not_exposed,
@@ -54,7 +53,8 @@ def test_lens_self_map(theta):
 
 def test_lens_trace_inside_disk():
     g = make_grid(2**12)
-    tr, mod = boundary_trace(lens(0.5), g)
+    phi = lens(0.5)
+    tr, mod = phi.trace(g), phi.modulus(g)
     assert np.all(np.abs(tr.values) < 1.0)
     assert np.all(mod.values < 1.0)
     assert np.allclose(np.abs(tr.values), mod.values, atol=1e-14)
@@ -72,7 +72,7 @@ def test_half_basics():
     phi = half()
     assert phi(0.0) == 0.5
     g = make_grid(256)
-    tr, mod = boundary_trace(phi, g)
+    tr, mod = phi.trace(g), phi.modulus(g)
     assert np.allclose(tr.values, (1 + g.points) / 2, atol=1e-15)
     assert np.allclose(mod.values, np.abs(np.cos(g.angles / 2)), atol=1e-14)
 
@@ -117,7 +117,8 @@ def test_beta_exp_self_map():
 
 def test_beta_exp_trace_modulus_closed_form():
     g = make_grid(2**12)
-    tr, mod = boundary_trace(beta_exp(1.5), g)
+    phi = beta_exp(1.5)
+    tr, mod = phi.trace(g), phi.modulus(g)
     t = g.signed_angles()
     expected = np.exp(-np.abs(np.sin(t / 2)) ** 1.5)
     assert np.allclose(mod.values, expected, rtol=1e-14)
