@@ -146,15 +146,15 @@ def refined_mean(values) -> IntegralResult:
 
 
 def log_integral(u: BoundarySamples) -> IntegralResult:
-    """Integral of log u over the circle for u with values in (0, 1].
+    """Integral of log u over the circle for u with values in [0, 1].
 
     Divergence is a return state, not an error: a sample at or below
-    UNDERFLOW_FLOOR returns (-inf, divergent), otherwise the verdict is that
-    of :func:`refined_mean` on log u.
+    UNDERFLOW_FLOOR, an underflowed 0.0 included, returns (-inf, divergent),
+    otherwise the verdict is that of :func:`refined_mean` on log u.
     """
     v = np.asarray(u.values, dtype=float)
-    if np.any(v <= 0.0) or np.any(v > 1.0 + 1e-9):
-        raise ValueError("log_integral expects values in (0, 1]")
+    if np.any(v < 0.0) or np.any(v > 1.0 + 1e-9):
+        raise ValueError("log_integral expects values in [0, 1]")
     v = np.minimum(v, 1.0)
     if np.any(v <= UNDERFLOW_FLOOR):
         return IntegralResult(float("-inf"), True)

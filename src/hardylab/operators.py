@@ -15,8 +15,12 @@ Two routes to the singular values:
   reproducing-kernel matrix sqrt(m_i m_j)/(1 - z_i conj(z_j)).  No row or
   column truncation at all; the only parameters are the atoms themselves.
   This is the route that resolves stretched-exponential decay at desk
-  scale; its price is a noise floor at sqrt(eps) relative to the top
-  singular value, since eigenvalues of the Gram are the squares.
+  scale.  The Gram is never formed: the Schur complement of the Szego
+  kernel at a pivot a is the kernel times b_a(z) conj(b_a(w)), b_a the
+  Blaschke factor at a, so a diagonally pivoted Cholesky runs on the n
+  generators in O(n r) time and memory and stops once the residual trace
+  falls below the floor; one SVD of the n x r factor follows, with an
+  absolute error ~eps s_1.
 """
 
 from __future__ import annotations
@@ -149,24 +153,66 @@ def singular_values(a: OperatorMatrix) -> SingularSpectrum:
 def embedding_spectrum(mu: PullbackMeasure) -> SingularSpectrum:
     """Singular values of the embedding of H^2 into L^2 of an atomic measure.
 
-    Computed as square roots of the eigenvalues of the reproducing-kernel
-    Gram matrix; exact in the atoms, no basis truncation.  Atoms on the
-    unit circle are excluded (the embedding is unbounded against boundary
-    mass); their total mass is expected to be zero for the measures this is
-    used on.
+    These are the singular values of any factor L with L L* = G, the Gram
+    matrix G_ij = g_i conj(g_j) K(z_i, z_j) of the Szego kernel
+    K(z, w) = 1/(1 - z conj(w)) on the interior atoms, g_i = sqrt(m_i).
+    Exact in the atoms, no basis truncation; G itself is never formed.
+
+    L comes from a diagonally pivoted Cholesky run on the generators g.  The
+    Schur complement of K at a pivot a is again a kernel of the same shape,
+
+        K(z, w) - K(z, a) K(a, w) / K(a, a) = b_a(z) conj(b_a(w)) K(z, w),
+
+    with the Blaschke factor b_a(z) = (z - a)/(1 - conj(a) z), so one
+    elimination step is g_i <- g_i b_a(z_i) and no L L* is subtracted.  Each
+    step pivots on the atom p with the largest residual diagonal
+    d_i = |g_i|^2/(1 - |z_i|^2) and appends the column
+    g_i conj(g_p) K(z_i, z_p)/sqrt(d_p).  It stops once sum d <= floor^2,
+    floor = max(FIT_FLOOR, sqrt(max d) KERNEL_RELATIVE_FLOOR) on the initial
+    diagonal.  The residual is positive semidefinite with trace sum d, so
+    every singular value left out lies below that floor, itself at or below
+    the reported one since s_1^2 >= max d, and sum s_n^2 misses
+    trace G = sum m/(1 - |z|^2) by at most floor^2.  One SVD of the n x r
+    factor gives the r returned values to an absolute error ~eps s_1.
+    Time and memory are O(n r).
+
+    Atoms on the unit circle are excluded (the embedding is unbounded
+    against boundary mass); their total mass is expected to be zero for the
+    measures this is used on.  Interior atoms with 1 - |z|^2 below
+    eps/KERNEL_RELATIVE_FLOOR are refused: there the rounding of |z| alone
+    moves the kernel diagonal by more than the route's floor.
     """
     interior = mu.radii < 1.0
     z = mu.locations[interior]
-    w = mu.masses[interior]
+    r = mu.radii[interior]
     if z.size > KERNEL_MAX_ATOMS:
         raise ValueError(
             f"{z.size} atoms exceed the kernel-route cap {KERNEL_MAX_ATOMS}; "
             "use a coarser discretization"
         )
-    sw = np.sqrt(w)
-    gram = (sw[:, None] * sw[None, :]) / (1.0 - z[:, None] * np.conj(z)[None, :])
-    eigenvalues = np.linalg.eigvalsh(gram)[::-1]
-    vals = np.sqrt(np.maximum(eigenvalues, 0.0))
+    co = (1.0 - r) * (1.0 + r)
+    limit = np.finfo(float).eps / KERNEL_RELATIVE_FLOOR
+    lost = co < limit
+    if np.any(lost):
+        raise ValueError(
+            f"{int(lost.sum())} atoms have 1 - |z|^2 below {limit:.3g} "
+            f"(smallest {float(co.min()):.3g}), where rounding |z| costs more "
+            "than the kernel-route floor; use a coarser discretization near "
+            "the contact points"
+        )
+    g = np.sqrt(mu.masses[interior]).astype(complex)
+    d = mu.masses[interior] / co
+    top = float(d.max()) if d.size else 0.0
+    stop = max(FIT_FLOOR, np.sqrt(top) * KERNEL_RELATIVE_FLOOR) ** 2
+    rows = []
+    while d.sum() > stop:
+        p = int(np.argmax(d))
+        a = z[p]
+        kernel = 1.0 / (1.0 - z * np.conj(a))
+        rows.append(g * np.conj(g[p]) * kernel / np.sqrt(d[p]))
+        g = g * (z - a) * kernel  # b_a(a) = 0 retires the pivot exactly
+        d = (g.real**2 + g.imag**2) / co
+    vals = np.linalg.svd(np.array(rows), compute_uv=False) if rows else np.zeros(0)
     floor = max(FIT_FLOOR, float(vals[0]) * KERNEL_RELATIVE_FLOOR) if vals.size else FIT_FLOOR
     return SingularSpectrum(values=vals, row_cut=-1, col_cut=z.size - 1,
                             grid_size=z.size, source="kernel", floor=floor)

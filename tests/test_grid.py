@@ -151,7 +151,7 @@ def test_log_integral_rejects_bad_values():
         log_integral(g.samples(np.zeros(8) - 1.0))
 
 
-@pytest.mark.parametrize("n", [2**10, 2**11])
+@pytest.mark.parametrize("n", [2**10, 2**11, 2**12, 2**14])
 def test_one_divergence_rule(n):
     # log_integral, outer_from_modulus and hs_weight read the same rule:
     # log(|t|/pi) is integrable, log(e^{-1/|t|}) = -1/|t| is not

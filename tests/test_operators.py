@@ -1,5 +1,6 @@
 """Matrix and kernel routes against closed forms, plus the boundary integrals."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hardylab.grid import GridError, make_grid
 from hardylab.symbols import parse_symbol
 from hardylab.weights import parse_weight, unit_weight
-from hardylab.carleson import PullbackMeasure
+from hardylab.carleson import PullbackMeasure, pullback_graded
 from hardylab.operators import (
     decay_fit,
     embedding_spectrum,
@@ -136,6 +137,67 @@ def test_cut_just_below_quarter_guard():
     assert np.allclose(s[:40], C ** np.arange(40), rtol=1e-10)
     with pytest.raises(GridError):
         operator_matrix(w, phi, 256, 10)
+
+
+# ---------------------------------------------------------------- kernel route
+
+def _dense_kernel_spectrum(mu):
+    """Reference: square roots of the eigenvalues of the formed Gram."""
+    z, m = mu.locations[mu.radii < 1.0], mu.masses[mu.radii < 1.0]
+    sw = np.sqrt(m)
+    gram = sw[:, None] * sw[None, :] / (1.0 - z[:, None] * np.conj(z)[None, :])
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0))
+
+
+def test_kernel_dilation_resolves_30_terms():
+    # the eigenvalues of the formed Gram resolve only 19 leading terms here
+    atoms = 512
+    mu = PullbackMeasure(C * np.exp(2j * np.pi * (np.arange(atoms) + 0.5) / atoms),
+                         np.full(atoms, 1.0 / atoms))
+    s = embedding_spectrum(mu).values
+    exact = C ** np.arange(30)
+    assert len(s) >= 30
+    assert np.all(np.abs(s[:30] - exact) <= 1e-6 * exact)
+
+
+def test_kernel_trace_is_total_diagonal():
+    mu = pullback_graded(parse_symbol("lens:0.5"), per_octave=8)
+    s = embedding_spectrum(mu).values
+    inner = mu.radii < 1.0
+    trace = np.sum(mu.masses[inner] / (1.0 - mu.radii[inner] ** 2))
+    assert np.sum(s**2) == pytest.approx(trace, rel=1e-12)
+
+
+def test_kernel_matches_dense_eigvalsh():
+    mu = pullback_graded(parse_symbol("lens:0.5"), per_octave=8)
+    s = embedding_spectrum(mu).values
+    ref = _dense_kernel_spectrum(mu)[:len(s)]
+    rel = np.abs(s - ref) / ref
+    # eigvalsh of the Gram carries an absolute error ~eps s_1^2, which is a
+    # relative error ~1e-6 on s at 1e-5 s_1
+    assert np.all(rel[ref > 1e-3 * s[0]] <= 1e-9)
+    assert np.all(rel[ref > 1e-5 * s[0]] <= 1e-6)
+
+
+def test_kernel_memory_below_half_a_dense_gram():
+    mu = pullback_graded(parse_symbol("lens:0.5"), per_octave=12)
+    n = int(np.sum(mu.radii < 1.0))
+    assert n >= 1540
+    tracemalloc.start()
+    try:
+        embedding_spectrum(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 / 2
+
+
+def test_kernel_refuses_co_radius_lost_to_rounding():
+    # half has 1 - |phi| ~ t^2/8 at the contact point; 578 atoms of the
+    # default grading sit closer to the circle than 1.1e-8
+    mu = pullback_graded(parse_symbol("half"))
+    with pytest.raises(ValueError, match="578 atoms have 1 - \\|z\\|\\^2 below"):
+        embedding_spectrum(mu)
 
 
 # ---------------------------------------------------------------- analyticity guard
