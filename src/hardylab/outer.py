@@ -1,20 +1,26 @@
-"""Outer functions and Herglotz integrals built from boundary data.
+"""Outer functions and Herglotz transforms built from boundary data.
 
-An outer function is reconstructed from its boundary log-modulus: the
-interior values come from the Herglotz integral (quadrature of the kernel
-(xi+z)/(xi-z) against log u), the boundary trace from the conjugate-function
-multiplier -i*sign(k) on the discrete spectrum.  Both agree with the exact
-outer function up to quadrature/aliasing error; the boundary modulus equals
-the prescribed u at the grid points by construction.
+One rule turns real boundary samples u on an N-point grid into an analytic
+function U with Re U* = u: the boundary trace is u + i*Hu, with H the
+conjugate-function multiplier -i*sign(k) on the discrete spectrum, and the
+interior value is the Taylor series of that same trace,
+U(z) = c_0 + 2 sum_{0<k<N/2} c_k z^k, with c_k the DFT coefficients of u.
+This is the Poisson integral of the trigonometric interpolant of u (its
+Nyquist term dropped), so interior values meet the trace as |z| -> 1.  It
+differs from the transform of the function that was sampled by the aliasing
+of the c_k and by the tail k >= N/2 of the exact series.  An outer function
+is exp(U) with u its log-modulus; its boundary modulus equals the
+prescribed one at the grid points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples, refined_mean
+from .grid import BoundaryGrid, BoundarySamples, coefficients_from_fft, refined_mean
 
 __all__ = [
     "NotLogIntegrableError",
@@ -24,8 +30,6 @@ __all__ = [
     "herglotz_map",
     "outer_from_modulus",
 ]
-
-_EVAL_CHUNK = 256
 
 
 class NotLogIntegrableError(ValueError):
@@ -48,35 +52,47 @@ def hilbert_transform(values: np.ndarray) -> np.ndarray:
     return out.real if np.isrealobj(v) else out
 
 
-def _herglotz_eval(grid: BoundaryGrid, data: np.ndarray, z) -> np.ndarray:
-    """Quadrature of the Herglotz kernel against real boundary data."""
-    zz = np.asarray(z, dtype=complex)
-    flat = zz.ravel()
-    if np.any(np.abs(flat) >= 1.0):
-        raise ValueError("Herglotz evaluation requires |z| < 1")
-    out = np.empty(flat.shape, dtype=complex)
-    pts = grid.points
-    for i in range(0, flat.size, _EVAL_CHUNK):
-        block = flat[i : i + _EVAL_CHUNK, None]
-        kernel = (pts[None, :] + block) / (pts[None, :] - block)
-        out[i : i + _EVAL_CHUNK] = (kernel * data[None, :]).mean(axis=1)
-    return out.reshape(zz.shape) if zz.shape else out[0]
-
-
 @dataclass(frozen=True)
 class HerglotzFunction:
-    """Analytic map U with Re U >= 0 built from nonnegative boundary data u.
+    """Analytic map U with Re U* = data, built from real boundary samples.
 
-    U(z) is the kernel quadrature of u; the boundary trace is u + i*Hu.
-    Positivity of the real part is exact: it is a finite sum of Poisson
-    kernel values times nonnegative samples.
+    The boundary trace is data + i*H data.  The interior value is the Taylor
+    series of that trace, c_0 + 2 sum_{0<k<N/2} c_k z^k, summed by Horner's
+    rule in z^B over blocks of B coefficients.  Re U(z) is the Poisson
+    integral of the trigonometric interpolant of the data, not of the
+    samples, so nonnegative data give Re U >= 0 only as far as the
+    interpolant does not undershoot between samples.
     """
 
     grid: BoundaryGrid
     data: np.ndarray
 
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """c_0, 2c_1, ..., 2c_{N/2-1} as Q rows of B = 2^floor(log2(N)/2)."""
+        n = int(self.grid.size)
+        c = coefficients_from_fft(np.fft.fft(self.data), n // 2 - 1)
+        c[1:] *= 2.0
+        return c.reshape(-1, 1 << (n.bit_length() - 1) // 2)
+
     def __call__(self, z):
-        return _herglotz_eval(self.grid, self.data, z)
+        zz = np.asarray(z, dtype=complex)
+        if np.any(np.abs(zz) >= 1.0):
+            raise ValueError("Herglotz evaluation requires |z| < 1")
+        blocks = self._blocks
+        b = blocks.shape[1]
+        flat = zz.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        # B points at a time, so no temporary outgrows the coefficients
+        for i in range(0, flat.size, b):
+            p = flat[i : i + b, None]
+            powers = np.cumprod(np.broadcast_to(p, (p.size, b)), axis=1)
+            sums = blocks[:, 0] + powers[:, :-1] @ blocks[:, 1:].T
+            acc = sums[:, -1]
+            for q in range(blocks.shape[0] - 2, -1, -1):
+                acc = acc * powers[:, -1] + sums[:, q]
+            out[i : i + b] = acc
+        return out.reshape(zz.shape) if zz.shape else out[0]
 
     def boundary(self) -> BoundarySamples:
         return self.grid.samples(self.data + 1j * hilbert_transform(self.data))
@@ -84,7 +100,7 @@ class HerglotzFunction:
 
 @dataclass(frozen=True)
 class OuterFunction:
-    """Outer function with prescribed boundary log-modulus samples.
+    """Outer function exp(U), U the Herglotz function of log-modulus samples.
 
     ``log_divergent`` records that the log-modulus failed the
     integrability check; such an object still carries a valid boundary
@@ -96,8 +112,12 @@ class OuterFunction:
     log_modulus: np.ndarray
     log_divergent: bool = False
 
+    @cached_property
+    def _herglotz(self) -> HerglotzFunction:
+        return HerglotzFunction(self.grid, self.log_modulus)
+
     def __call__(self, z):
-        return np.exp(_herglotz_eval(self.grid, self.log_modulus, z))
+        return np.exp(self._herglotz(z))
 
     def boundary_modulus(self) -> BoundarySamples:
         return self.grid.samples(np.exp(self.log_modulus))
@@ -107,12 +127,15 @@ class OuterFunction:
             # No analytic completion exists; return the modulus with flat
             # phase, which every |w|-only diagnostic treats identically.
             return self.boundary_modulus()
-        phase = hilbert_transform(self.log_modulus)
-        return self.grid.samples(np.exp(self.log_modulus + 1j * phase))
+        return self.grid.samples(np.exp(self._herglotz.boundary().values))
 
 
 def herglotz_map(u: BoundarySamples) -> HerglotzFunction:
-    """Analytic map of the disk into {Re >= 0} from nonnegative samples."""
+    """Herglotz function of nonnegative samples.
+
+    It maps the disk into {Re >= 0} as far as the samples' trigonometric
+    interpolant stays nonnegative.
+    """
     data = np.asarray(u.values, dtype=float)
     if np.any(data < 0):
         raise ValueError("herglotz_map expects nonnegative real samples")

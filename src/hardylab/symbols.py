@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import TWO_PI, BoundaryGrid, BoundarySamples, GridError, make_grid
-from .outer import hilbert_transform, _herglotz_eval
+from .outer import OuterFunction
 
 __all__ = [
     "Symbol",
@@ -32,85 +32,89 @@ __all__ = [
     "parse_symbol",
 ]
 
-# Reference grid used for interior evaluation of outer-type symbols.
-_REF_N = 4096
+# Interior values of an outer-type symbol are the Taylor series of its trace
+# on a reference grid of N points, which stops at k = N/2.  A log-modulus of
+# total variation V has Herglotz coefficients 2|c_k| <= V/(pi k), so the
+# tail at radius r is at most V r^{N/2} / (pi (N/2) (1 - r)).  N is the first
+# power of two from REFERENCE_MIN that keeps this below TAIL_TOL * V.  At
+# N(1 - r) = C the bound is 2 e^{-C/2} / (pi C) whatever r is, so N(1 - r) >=
+# 29.2 always suffices.  The floor's aliasing, not the tail, sets the error at
+# small radii.
+REFERENCE_MIN = 4096
+REFERENCE_MAX = 1 << 20
+TAIL_TOL = 1e-8
+
+
+def _reference_size(r: float) -> int:
+    """Smallest reference grid whose Taylor tail at radius r is negligible."""
+    n = REFERENCE_MIN
+    while n <= REFERENCE_MAX:
+        if r ** (n // 2) <= TAIL_TOL * np.pi * (n // 2) * (1.0 - r):
+            return n
+        n *= 2
+    raise ValueError(f"radius {r!r} is beyond the largest reference grid "
+                     f"(N = {REFERENCE_MAX}) of an outer-type symbol")
 
 
 @dataclass(frozen=True)
 class Symbol:
-    """Analytic self-map of the disk with closed-form boundary data."""
+    """Analytic self-map of the disk with closed-form boundary data.
+
+    ``co(t)`` is the co-modulus 1 - |phi*(e^{it})| at signed angles,
+    computed cancellation-free; the modulus is 1 - co.  The map is given by
+    exactly one of ``analytic``, a closed form evaluated at interior points
+    and at e^{it} on the circle, and ``log_modulus(t)``, whose outer
+    function (:class:`hardylab.outer.OuterFunction`) gives the trace on a
+    grid and the interior values on a reference grid chosen from the radius.
+    """
 
     kind: str
     label: str
     params: tuple
     singular_angles: tuple
-    _modulus_fn: Callable
-    _co_fn: Callable
-    _trace_fn: Callable
-    _eval_fn: Callable
-    _angle_trace_fn: Optional[Callable] = None
+    co: Callable
+    analytic: Optional[Callable] = None
+    log_modulus: Optional[Callable] = None
+
+    def __post_init__(self):
+        if (self.analytic is None) == (self.log_modulus is None):
+            raise ValueError("a Symbol needs exactly one of analytic and "
+                             "log_modulus")
 
     def modulus_of_angle(self, t):
         """|phi*(e^{it})| for signed angles t in (-pi, pi]."""
-        return self._modulus_fn(np.asarray(t, dtype=float))
+        return 1.0 - self.co_modulus_of_angle(t)
 
     def co_modulus_of_angle(self, t):
         """1 - |phi*(e^{it})|, computed cancellation-free."""
-        return self._co_fn(np.asarray(t, dtype=float))
+        return self.co(np.asarray(t, dtype=float))
 
     def modulus(self, grid: BoundaryGrid) -> BoundarySamples:
         return grid.samples(self.modulus_of_angle(grid.signed_angles()))
 
     def trace(self, grid: BoundaryGrid) -> BoundarySamples:
-        return grid.samples(self._trace_fn(grid))
+        t = grid.signed_angles()
+        if self.analytic is None:
+            return OuterFunction(grid, self.log_modulus(t)).boundary()
+        return grid.samples(self.analytic(np.exp(1j * t)))
 
     def trace_of_angle(self, t):
         """Boundary trace at arbitrary angles; closed-form symbols only."""
-        if self._angle_trace_fn is None:
+        if self.analytic is None:
             raise NotImplementedError(
                 f"symbol {self.label!r} has no closed-form trace off the grid"
             )
-        return self._angle_trace_fn(np.asarray(t, dtype=float))
+        return self.analytic(np.exp(1j * np.asarray(t, dtype=float)))
 
     def __call__(self, z):
-        return self._eval_fn(np.asarray(z, dtype=complex))
+        z = np.asarray(z, dtype=complex)
+        if self.analytic is not None:
+            return self.analytic(z)
+        grid = make_grid(_reference_size(float(np.max(np.abs(z), initial=0.0))))
+        return OuterFunction(grid, self.log_modulus(grid.signed_angles()))(z)
 
     def __repr__(self):
         return f"Symbol({self.label})"
-
-
-def _signed(grid: BoundaryGrid) -> np.ndarray:
-    return grid.signed_angles()
-
-
-def _outer_symbol(kind, label, params, log_modulus_fn, modulus_fn, co_fn,
-                  singular=(0.0,)):
-    """Symbol given as the outer function of a prescribed boundary modulus.
-
-    The grid trace is modulus * exp(i H log-modulus); interior values come
-    from the Herglotz integral of the log-modulus on a reference grid.
-    """
-    ref = make_grid(_REF_N)
-    ref_logm = log_modulus_fn(ref.signed_angles())
-
-    def trace_fn(grid):
-        t = _signed(grid)
-        logm = log_modulus_fn(t)
-        return np.exp(logm + 1j * hilbert_transform(logm))
-
-    def eval_fn(z):
-        return np.exp(_herglotz_eval(ref, ref_logm, z))
-
-    return Symbol(
-        kind=kind,
-        label=label,
-        params=params,
-        singular_angles=singular,
-        _modulus_fn=modulus_fn,
-        _co_fn=co_fn,
-        _trace_fn=trace_fn,
-        _eval_fn=eval_fn,
-    )
 
 
 def lens(theta: float) -> Symbol:
@@ -127,56 +131,33 @@ def lens(theta: float) -> Symbol:
         s = ((1.0 - z) / (1.0 + z)) ** theta
         return (1.0 - s) / (1.0 + s)
 
-    def s_of_angle(t):
-        xi = np.exp(1j * t)
-        return ((1.0 - xi) / (1.0 + xi)) ** theta
-
-    def angle_trace(t):
-        s = s_of_angle(t)
-        return (1.0 - s) / (1.0 + s)
-
     def co_fn(t):
-        s = s_of_angle(t)
+        xi = np.exp(1j * t)
+        s = ((1.0 - xi) / (1.0 + xi)) ** theta
         # 1 - |lambda|^2 = 4 Re s / |1+s|^2; convert without cancellation
         x = 4.0 * np.real(s) / np.abs(1.0 + s) ** 2
         x = np.clip(x, 0.0, 1.0)
         return x / (1.0 + np.sqrt(1.0 - x))
-
-    def modulus_fn(t):
-        return 1.0 - co_fn(t)
 
     return Symbol(
         kind="lens",
         label=f"lens:{theta:g}",
         params=(theta,),
         singular_angles=(0.0, np.pi),
-        _modulus_fn=modulus_fn,
-        _co_fn=co_fn,
-        _trace_fn=lambda grid: angle_trace(_signed(grid)),
-        _eval_fn=core,
-        _angle_trace_fn=angle_trace,
+        co=co_fn,
+        analytic=core,
     )
 
 
 def half() -> Symbol:
     """The symbol phi(z) = (1+z)/2 with boundary modulus |cos(t/2)|."""
-
-    def angle_trace(t):
-        return (1.0 + np.exp(1j * t)) / 2.0
-
-    def co_fn(t):
-        return 2.0 * np.sin(t / 4.0) ** 2
-
     return Symbol(
         kind="half",
         label="half",
         params=(),
         singular_angles=(0.0,),
-        _modulus_fn=lambda t: np.abs(np.cos(t / 2.0)),
-        _co_fn=co_fn,
-        _trace_fn=lambda grid: angle_trace(_signed(grid)),
-        _eval_fn=lambda z: (1.0 + z) / 2.0,
-        _angle_trace_fn=angle_trace,
+        co=lambda t: 2.0 * np.sin(t / 4.0) ** 2,
+        analytic=lambda z: (1.0 + z) / 2.0,
     )
 
 
@@ -184,8 +165,11 @@ def beta_exp(beta: float) -> Symbol:
     """Symbol exp(-U) where U is the Herglotz map of u(t) = |sin(t/2)|^beta.
 
     Boundary modulus exp(-|sin(t/2)|^beta) in closed form; the boundary
-    argument is the conjugate function of -u.  Re U >= 0 exactly, so the
-    self-map property holds by construction.
+    argument is the conjugate function of -u.  The exact U has Re U >= 0, so
+    exp(-U) maps the disk into itself.  For beta = 2, u = (1 - cos t)/2 and
+    U(z) = (1 - z)/2, so the symbol is the closed form exp((z - 1)/2);
+    otherwise it is the outer function of -u, whose values carry the
+    aliasing of the cusp's slowly decaying spectrum on the grid used.
     """
     if not 0.0 < beta <= 2.0:
         raise ValueError(f"beta must be in (0, 2], got {beta}")
@@ -193,22 +177,16 @@ def beta_exp(beta: float) -> Symbol:
     def u_fn(t):
         return np.abs(np.sin(t / 2.0)) ** beta
 
-    sym = _outer_symbol(
+    closed = beta == 2.0
+    return Symbol(
         kind="betaexp",
         label=f"betaexp:{beta:g}",
         params=(beta,),
-        log_modulus_fn=lambda t: -u_fn(t),
-        modulus_fn=lambda t: np.exp(-u_fn(t)),
-        co_fn=lambda t: -np.expm1(-u_fn(t)),
+        singular_angles=(0.0,),
+        co=lambda t: -np.expm1(-u_fn(t)),
+        analytic=(lambda z: np.exp((z - 1.0) / 2.0)) if closed else None,
+        log_modulus=None if closed else (lambda t: -u_fn(t)),
     )
-    if beta == 2.0:
-        # u = (1 - cos t)/2 has elementary conjugate -sin(t)/2, giving a
-        # closed-form trace at arbitrary angles (needed off the grid)
-        object.__setattr__(
-            sym, "_angle_trace_fn",
-            lambda t: np.exp(-np.sin(t / 2.0) ** 2 + 0.5j * np.sin(t)),
-        )
-    return sym
 
 
 def extreme_not_exposed() -> Symbol:
@@ -223,16 +201,13 @@ def extreme_not_exposed() -> Symbol:
         with np.errstate(divide="ignore", over="ignore"):
             return np.exp(-1.0 / np.abs(t))
 
-    def log_modulus_fn(t):
-        return np.log1p(-co_fn(t))
-
-    return _outer_symbol(
+    return Symbol(
         kind="extreme",
         label="extreme",
         params=(),
-        log_modulus_fn=log_modulus_fn,
-        modulus_fn=lambda t: 1.0 - co_fn(t),
-        co_fn=co_fn,
+        singular_angles=(0.0,),
+        co=co_fn,
+        log_modulus=lambda t: np.log1p(-co_fn(t)),
     )
 
 
@@ -249,13 +224,13 @@ def hs_extremal() -> Symbol:
         with np.errstate(divide="ignore", over="ignore"):
             return np.exp(-np.exp(1.0 / np.abs(t)))
 
-    return _outer_symbol(
+    return Symbol(
         kind="hsx",
         label="hsx",
         params=(),
-        log_modulus_fn=lambda t: np.log1p(-co_fn(t)),
-        modulus_fn=lambda t: 1.0 - co_fn(t),
-        co_fn=co_fn,
+        singular_angles=(0.0,),
+        co=co_fn,
+        log_modulus=lambda t: np.log1p(-co_fn(t)),
     )
 
 
@@ -279,14 +254,13 @@ def custom_outer(angles, modulus) -> Symbol:
     def modulus_fn(t):
         return np.interp(np.asarray(t, dtype=float) % TWO_PI, a_ext, m_ext)
 
-    return _outer_symbol(
+    return Symbol(
         kind="customouter",
         label="outer:<table>",
         params=(),
-        log_modulus_fn=lambda t: np.log(modulus_fn(t)),
-        modulus_fn=modulus_fn,
-        co_fn=lambda t: 1.0 - modulus_fn(t),
-        singular=(),
+        singular_angles=(),
+        co=lambda t: 1.0 - modulus_fn(t),
+        log_modulus=lambda t: np.log(modulus_fn(t)),
     )
 
 
@@ -301,11 +275,8 @@ def constant(c: complex) -> Symbol:
         label=f"const:{c.real:g}" if c.imag == 0 else f"const:{c!r}",
         params=(c,),
         singular_angles=(),
-        _modulus_fn=lambda t: np.full_like(t, abs(c), dtype=float),
-        _co_fn=lambda t: np.full_like(t, 1.0 - abs(c), dtype=float),
-        _trace_fn=lambda grid: np.full(grid.size, c, dtype=complex),
-        _eval_fn=lambda z: np.full_like(z, c, dtype=complex),
-        _angle_trace_fn=lambda t: np.full_like(t, c, dtype=complex),
+        co=lambda t: np.full_like(t, 1.0 - abs(c), dtype=float),
+        analytic=lambda z: np.full_like(z, c, dtype=complex),
     )
 
 

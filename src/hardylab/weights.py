@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import BoundaryGrid, BoundarySamples, refined_mean
-from .outer import OuterFunction, hilbert_transform
+from .outer import OuterFunction
 from .symbols import LevelSets, Symbol, co_modulus, level_sets
 from .carleson import _box_indices, _corona_levels, pullback, series_verdict
 
@@ -81,7 +81,7 @@ def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
         outer = None
     else:
         outer = OuterFunction(grid, log_modulus)
-        trace = np.exp(log_modulus + 1j * hilbert_transform(log_modulus))
+        trace = outer.boundary().values
     return Weight(
         name=name,
         modulus=grid.samples(modulus),

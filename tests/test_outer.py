@@ -6,7 +6,9 @@ from scipy.integrate import quad
 
 from hardylab.grid import make_grid, quadrature, taylor_coefficients
 from hardylab.outer import (
+    HerglotzFunction,
     NotLogIntegrableError,
+    OuterFunction,
     herglotz_map,
     hilbert_transform,
     outer_from_modulus,
@@ -127,3 +129,38 @@ def test_herglotz_boundary_real_part():
     data = 1.0 + 0.5 * np.sin(g.angles)
     u = herglotz_map(g.samples(data))
     assert np.allclose(u.boundary().values.real, data, atol=1e-12)
+
+
+def test_herglotz_matches_direct_taylor_sum():
+    # reference: U(z) = c_0 + 2 sum_{0<k<N/2} c_k z^k with the DFT
+    # coefficients c_k = mean(u(t_j) e^{-ik t_j}) summed term by term
+    g = make_grid(256)
+    rng = np.random.default_rng(5)
+    data = rng.random(256)
+    z = 0.95 * np.sqrt(rng.random((3, 50))) * np.exp(2j * np.pi * rng.random((3, 50)))
+    k = np.arange(128)
+    c = (data[None, :] * np.exp(-1j * k[:, None] * g.angles[None, :])).mean(axis=1)
+    c[1:] *= 2.0
+    direct = (z[..., None] ** k * c).sum(axis=-1)
+    got = herglotz_map(g.samples(data))(z)
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - direct)) < 1e-12
+
+
+def test_outer_near_circle_matches_closed_form():
+    # 1 + z/2 is outer with modulus |1 + xi/2|; interior values are the
+    # Taylor series of the trace, exact up to aliasing at the 2^{-N/2} scale
+    g = make_grid(2**16)
+    w = outer_from_modulus(g.samples(np.abs(1.0 + g.points / 2.0)))
+    z = 0.9999 * np.exp(1j * (0.3 + 2 * np.pi * np.arange(64) / 64))
+    assert np.max(np.abs(w(z) - (1.0 + z / 2.0))) < 1e-12
+
+
+@pytest.mark.parametrize("z", [1.0, -1j, np.array([0.5, 1.5])])
+def test_herglotz_and_outer_refuse_points_off_the_open_disk(z):
+    g = make_grid(64)
+    data = 1.0 + np.cos(g.angles)
+    with pytest.raises(ValueError, match=r"\|z\| < 1"):
+        HerglotzFunction(g, data)(z)
+    with pytest.raises(ValueError, match=r"\|z\| < 1"):
+        OuterFunction(g, data)(z)

@@ -1,5 +1,7 @@
 """Symbol catalog: boundary moduli, level sets, self-map checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -126,9 +128,9 @@ def test_beta_exp_trace_modulus_closed_form():
 
 
 def test_beta_exp_interior_matches_trace_away_from_contact():
-    # Herglotz evaluation close to the boundary agrees with the
-    # transform-based trace away from the contact angle.  The radius keeps
-    # N(1-r) = 8 so the kernel quadrature aliasing r^N stays below 1e-3.
+    # Interior values are the Taylor series of the transform-based trace, so
+    # away from the contact angle they differ from it by the radial step
+    # only: (1 - r) max|w'| = (8/N)(1/2) for w = exp((z - 1)/2).
     from hardylab.outer import outer_from_modulus
 
     n = 2**13
@@ -141,6 +143,41 @@ def test_beta_exp_interior_matches_trace_away_from_contact():
     evald = w(probe)
     traced = phi.trace(g).values[sel][::64]
     assert np.max(np.abs(evald - traced)) < 1e-3
+
+
+@pytest.mark.parametrize("r", [0.999, 0.9999])
+def test_beta_exp_two_near_circle_closed_form(r):
+    z = r * np.exp(1j * (0.3 + 2 * np.pi * np.arange(1000) / 1000))
+    assert np.max(np.abs(beta_exp(2.0)(z) - np.exp((z - 1.0) / 2.0))) < 1e-12
+
+
+def test_beta_exp_half_near_circle_matches_series():
+    # exp(-U) with U = a_0 + 2 sum a_k z^k, a_k the Fourier coefficients of
+    # |sin(t/2)|^beta: a_0 = Gamma(beta+1) / (2^beta Gamma(1+beta/2)^2) and
+    # a_{k+1} / a_k = (k - beta/2) / (k + 1 + beta/2), summed until r^k < e^-60.
+    beta, r = 0.5, 0.9999
+    thetas = 0.3 + 2 * np.pi * np.arange(8) / 8
+    k = np.arange(int(60 / (1 - r)), dtype=float)
+    a0 = math.gamma(beta + 1) / (2**beta * math.gamma(1 + beta / 2) ** 2)
+    a = a0 * np.concatenate([[1.0], np.cumprod((k[:-1] - beta / 2)
+                                               / (k[:-1] + 1 + beta / 2))])
+    a[1:] *= 2.0
+    terms = a * r**k
+    want = np.exp(-np.array([np.sum(terms * np.exp(1j * k * th)) for th in thetas]))
+    got = beta_exp(beta)(r * np.exp(1j * thetas))
+    # the reference grid grows with the radius; what is left (6.9e-7
+    # measured) is the aliasing of the cusp's k^-1.5 spectrum
+    assert np.max(np.abs(got - want)) < 2e-6
+
+
+@pytest.mark.parametrize("make", [lambda: beta_exp(0.5), extreme_not_exposed])
+def test_outer_symbol_refuses_radius_beyond_reference_grid(make):
+    phi = make()
+    phi(0.9999 * np.exp(0.3j))
+    with pytest.raises(ValueError, match="radius 0.99999 "):
+        phi(np.array([0.5, 0.99999j]))
+    with pytest.raises(ValueError, match="radius 1.0 "):
+        phi(1.0)
 
 
 # ------------------------------------------------- extreme / hs-extremal
