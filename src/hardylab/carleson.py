@@ -321,8 +321,9 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
         sel = lev == n
         if not sel.any():
             continue
-        boxes = _box_indices(mu.angles[sel], n)
-        masses = np.bincount(boxes, weights=mu.masses[sel], minlength=1 << n)
+        # occupied boxes only: a level holds up to 2^n boxes, far more than atoms
+        boxes, slot = np.unique(_box_indices(mu.angles[sel], n), return_inverse=True)
+        masses = np.bincount(slot, weights=mu.masses[sel], minlength=boxes.size)
         nz = masses[masses > 0]
         per_level[n] = float(np.sum((nz * (1 << n)) ** (p / 2.0)))
     levels = np.arange(n_max + 1)

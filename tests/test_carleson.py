@@ -1,5 +1,7 @@
 """Pull-back measures, windows, boxes, profiles, box-counting sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +179,23 @@ def test_luecking_p_monotone_when_normalized():
     mu = pullback(g.samples(g.points / 2), 0.5)
     totals = [luecking_sum(mu, p, 6).total for p in (0.5, 1.0, 2.0, 4.0)]
     assert np.all(np.diff(totals) <= 1e-12)
+
+
+def test_luecking_memory_follows_atoms_not_boxes():
+    # level 24 tiles the corona with 2^24 boxes; three atoms occupy two
+    r = 1.0 - 0.75 * 2.0**-24
+    mu = PullbackMeasure(r * np.exp(1j * np.array([-1e-9, 1e-9, np.pi / 2])),
+                         np.array([1e-3, 2e-3, 4e-3]))
+    tracemalloc.start()
+    try:
+        rep = luecking_sum(mu, 1.0, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = np.sqrt(2.0**24 * 3e-3) + np.sqrt(2.0**24 * 4e-3)
+    assert abs(rep.per_level[24] - expected) <= 1e-12 * expected
+    assert rep.total == rep.per_level[24]
+    assert peak < 2**20
 
 
 def test_luecking_rejects_bad_p():
