@@ -61,9 +61,9 @@ from .carleson import (
     CarlesonReport,
     LueckingReport,
     PullbackMeasure,
-    WindowSpec,
     annulus_mass,
     carleson_profile,
+    dyadic_boxes,
     graded_boundary,
     luecking_sum,
     pullback,

@@ -3,17 +3,22 @@
 Carleson windows, Hastings-Luecking boxes, dyadic annuli, Carleson function
 profiles, and the dyadic box-counting sums of the Schatten-class embedding
 criterion.  All measures are finite atomic measures; window queries reduce
-to radius filters plus circular interval sums over angle-sorted atoms.
+to depth filters plus circular interval sums over angle-sorted atoms.
 
-Conventions, fixed so that partitions are exact:
+Conventions.  Every window reads one depth per atom, d = 1 - |z| shrunk by
+a few ulp (:func:`_depth`), so that an atom placed on a dyadic circle
+|z| = 1 - 2^-n, which arrives as 1 - 2^-n +- ulp, sits on it.  Boundary
+atoms have d = 0.
 
-* Carleson windows are closed (boundary atoms included, per the closure in
-  the Carleson function).
-* Hastings-Luecking boxes are half-open, radially [1-h, 1-h/2) and
-  angularly (-pi h, pi h] around the center; the 2^n aligned boxes at level
-  n therefore tile the dyadic corona exactly, atom by atom.
-* The dyadic annulus uses the same half-open radial convention as the
-  boxes; plain annuli {1-h <= |z| < 1} exclude boundary atoms.
+* The Carleson window of size h is closed: d <= h and
+  |arg(z conj(center))| <= pi h (boundary atoms included, per the closure
+  in the Carleson function).
+* The annulus of size h is 0 < d <= h (boundary atoms excluded); its dyadic
+  half is h/2 < d <= h.
+* Corona n is the dyadic annulus of size 2^-n: 2^-(n+1) < d <= 2^-n.  Its
+  2^n aligned Hastings-Luecking boxes are the angular cells (-pi 2^-n,
+  pi 2^-n] around e^{2 pi i j / 2^n}, so they tile the corona exactly, atom
+  by atom (:func:`dyadic_boxes`).
 """
 
 from __future__ import annotations
@@ -23,18 +28,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TWO_PI, BoundarySamples
+from .grid import TWO_PI, BoundarySamples, signed_angle
 from .symbols import Symbol
 
 __all__ = [
     "PullbackMeasure",
-    "WindowSpec",
     "CarlesonReport",
     "LueckingReport",
     "pullback",
     "pullback_graded",
     "graded_boundary",
     "window_mass",
+    "dyadic_boxes",
     "carleson_profile",
     "luecking_sum",
     "series_verdict",
@@ -166,8 +171,7 @@ def pullback_graded(
     nonnegative boundary density (default 1).
     """
     angles, weights = graded_boundary(phi.singular_angles, octaves, per_octave)
-    signed = np.where(angles % TWO_PI > np.pi, angles % TWO_PI - TWO_PI,
-                      angles % TWO_PI)
+    signed = signed_angle(angles % TWO_PI)
     locations = phi.trace_of_angle(signed)
     if density_fn is not None:
         dens = np.asarray(density_fn(signed), dtype=float)
@@ -177,87 +181,54 @@ def pullback_graded(
     return PullbackMeasure(locations, weights)
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """A window on the disk: center xi on the circle, size h, and flavor.
+def _depth(mu: PullbackMeasure) -> np.ndarray:
+    """Depth 1-|z| of each atom, shrunk by a few ulp.
 
-    Flavors: ``carleson`` (closed window), ``hlbox`` (half-open
-    Hastings-Luecking box), ``modified`` (radial band c_ratio*h <= 1-|z|
-    <= h, closed), ``annulus`` and ``dyadicannulus`` (center ignored).
+    The relative guard keeps an atom that sits on a dyadic circle up to
+    input rounding (e.g. |e^{it}|/2 = 0.5 - ulp) at depth <= 2^-n, on the
+    closed side of every window edge.
     """
-
-    center: complex
-    size: float
-    flavor: str = "carleson"
-    c_ratio: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.size <= 1.0:
-            raise ValueError("window size must be in (0, 1]")
-        if self.flavor not in ("carleson", "hlbox", "modified", "annulus",
-                               "dyadicannulus"):
-            raise ValueError(f"unknown window flavor {self.flavor!r}")
-        c = complex(self.center)
-        if self.flavor not in ("annulus", "dyadicannulus"):
-            if abs(abs(c) - 1.0) > 1e-9:
-                raise ValueError("window center must lie on the unit circle")
-            c = c / abs(c)
-        object.__setattr__(self, "center", c)
+    return (1.0 - mu.radii) * (1.0 - 4e-16)
 
 
-def window_mass(mu: PullbackMeasure, spec: WindowSpec) -> float:
-    """Total mass of the atoms inside the window."""
-    r = mu.radii
-    h = spec.size
-    if spec.flavor == "annulus":
-        inside = (r >= 1.0 - h) & (r < 1.0)
-    elif spec.flavor == "dyadicannulus":
-        inside = (r >= 1.0 - h) & (r < 1.0 - h / 2.0)
-    else:
-        d = np.angle(mu.locations * np.conj(spec.center))
-        if spec.flavor == "carleson":
-            inside = (r >= 1.0 - h) & (np.abs(d) <= np.pi * h)
-        elif spec.flavor == "hlbox":
-            inside = (
-                (r >= 1.0 - h)
-                & (r < 1.0 - h / 2.0)
-                & (d > -np.pi * h)
-                & (d <= np.pi * h)
-            )
-        else:  # modified
-            inside = (
-                (1.0 - r >= spec.c_ratio * h)
-                & (1.0 - r <= h)
-                & (np.abs(d) <= np.pi * h)
-            )
+def _check_size(h: float) -> None:
+    if not 0.0 < h <= 1.0:
+        raise ValueError("window size must be in (0, 1]")
+
+
+def window_mass(mu: PullbackMeasure, center: complex, h: float) -> float:
+    """Mass of the closed Carleson window of size h at ``center`` on the
+    circle: depth <= h and |arg(z conj(center))| <= pi h."""
+    _check_size(h)
+    c = complex(center)
+    if abs(abs(c) - 1.0) > 1e-9:
+        raise ValueError("window center must lie on the unit circle")
+    d = np.angle(mu.locations * np.conj(c / abs(c)))
+    inside = (_depth(mu) <= h) & (np.abs(d) <= np.pi * h)
     return float(mu.masses[inside].sum())
 
 
-def _corona_levels(mu: PullbackMeasure) -> np.ndarray:
-    """Dyadic corona index per atom: n with 1-2^-n <= r < 1-2^-(n+1).
+def dyadic_boxes(mu: PullbackMeasure,
+                 n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Corona level and aligned box index of each atom, levels 0..n_max.
 
-    Boundary atoms (r = 1) get level -1 and are excluded from every box
-    and annulus count.  The lower radius edge is closed; a few-ulp relative
-    guard keeps atoms that sit on a dyadic edge up to input rounding (e.g.
-    |e^{it}|/2 = 0.5 +- ulp) on the closed side.
+    Returns integer arrays (level, box) over the atoms.  An atom of corona
+    n, 2^-(n+1) < depth <= 2^-n, lies in box j of that level when
+    arg(z e^{-2 pi i j / 2^n}) is in (-pi 2^-n, pi 2^-n].  Boundary atoms and
+    atoms deeper than corona n_max get level -1 and box -1.
     """
-    d = (1.0 - mu.radii) * (1.0 - 4e-16)
-    lev = np.full(mu.size, -1, dtype=np.int64)
-    interior = d > 0.0
-    lev[interior] = np.floor(-np.log2(d[interior])).astype(np.int64)
-    return lev
-
-
-def _box_indices(angles: np.ndarray, level: int) -> np.ndarray:
-    """Index j of the aligned level-n box whose angular cell holds each atom.
-
-    Box j covers arg(z e^{-2 pi i j / 2^n}) in (-pi 2^-n, pi 2^-n]; with
-    x = angle / (2 pi 2^-n) that is x in (j - 1/2, j + 1/2].
-    """
-    two_n = 1 << level
-    x = angles * (two_n / TWO_PI)
-    j = np.ceil(x - 0.5).astype(np.int64)
-    return j % two_n
+    d = _depth(mu)
+    # d = m 2^e with m in [1/2, 1): corona -e, or 1-e when d = 2^(e-1)
+    m, e = np.frexp(d)
+    level = (m == 0.5) - e.astype(np.int64)
+    level[(d <= 0.0) | (level > n_max)] = -1
+    lv = np.maximum(level, 0)
+    # with x = angle 2^n / (2 pi), box j covers x in (j - 1/2, j + 1/2]
+    scale = 2.0 ** np.arange(n_max + 1) / TWO_PI
+    j = np.ceil(mu.angles * scale[lv] - 0.5).astype(np.int64)
+    box = j & ((1 << lv) - 1)  # j mod 2^n
+    box[level < 0] = -1
+    return level, box
 
 
 @dataclass(frozen=True)
@@ -315,15 +286,15 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     """
     if p <= 0:
         raise ValueError("Schatten exponent must be positive")
-    lev = _corona_levels(mu)
+    level, box = dyadic_boxes(mu, n_max)
     per_level = np.zeros(n_max + 1)
     for n in range(n_max + 1):
-        sel = lev == n
+        sel = level == n
         if not sel.any():
             continue
         # occupied boxes only: a level holds up to 2^n boxes, far more than atoms
-        boxes, slot = np.unique(_box_indices(mu.angles[sel], n), return_inverse=True)
-        masses = np.bincount(slot, weights=mu.masses[sel], minlength=boxes.size)
+        _, slot = np.unique(box[sel], return_inverse=True)
+        masses = np.bincount(slot, weights=mu.masses[sel])
         nz = masses[masses > 0]
         per_level[n] = float(np.sum((nz * (1 << n)) ** (p / 2.0)))
     levels = np.arange(n_max + 1)
@@ -339,10 +310,12 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
 
 
 def annulus_mass(mu: PullbackMeasure, h: float, dyadic: bool = False) -> float:
-    """Mass of the annulus 1-h <= |z| < 1, or its dyadic half 1-h <= |z| <
-    1-h/2."""
-    flavor = "dyadicannulus" if dyadic else "annulus"
-    return window_mass(mu, WindowSpec(center=1.0, size=h, flavor=flavor))
+    """Mass of the annulus 0 < depth <= h, or of its dyadic half
+    h/2 < depth <= h."""
+    _check_size(h)
+    d = _depth(mu)
+    inside = (d > (h / 2.0 if dyadic else 0.0)) & (d <= h)
+    return float(mu.masses[inside].sum())
 
 
 @dataclass(frozen=True)
@@ -376,25 +349,21 @@ def _arc_masses(sorted_angles, prefix, lo, hi):
     return prefix[right] - prefix[left]
 
 
-def carleson_profile(
-    mu: PullbackMeasure,
-    n_lo: int,
-    n_hi: int,
-    heavy_centers: int = HEAVY_CENTERS,
-) -> CarlesonReport:
+def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonReport:
     """Profile rho(h) = sup over centers of closed-window mass, h = 2^-n.
 
     The center set per level holds the 2^{n+2} dyadic roots (4x
     oversampling, which also makes the profile provably nonincreasing in
-    decreasing h) plus the directions of the heaviest atoms.
+    decreasing h) plus the directions of the HEAVY_CENTERS heaviest atoms.
     """
     if not 0 <= n_lo < n_hi:
         raise ValueError("need 0 <= n_lo < n_hi")
-    order = np.argsort(1.0 - mu.radii, kind="stable")
-    depth = (1.0 - mu.radii)[order]
+    depth = _depth(mu)
+    order = np.argsort(depth, kind="stable")
+    depth = depth[order]
     ang = mu.angles[order]
     mas = mu.masses[order]
-    heavy = np.sort(mu.angles[np.argsort(mu.masses)[::-1][:heavy_centers]])
+    heavy = np.sort(mu.angles[np.argsort(mu.masses)[::-1][:HEAVY_CENTERS]])
 
     levels = np.arange(n_lo, n_hi + 1)
     rho = np.zeros(len(levels))

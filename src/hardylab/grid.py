@@ -20,6 +20,7 @@ __all__ = [
     "GridError",
     "IntegralResult",
     "make_grid",
+    "signed_angle",
     "quadrature",
     "taylor_coefficients",
     "hardy_norm",
@@ -36,6 +37,11 @@ UNDERFLOW_FLOOR = 1e-300
 # the integrand's scale, counts as divergent.
 MAGNITUDE_CAP = 1e6
 DRIFT_TOL = 0.03
+
+
+def signed_angle(angles) -> np.ndarray:
+    """Angles in [0, 2 pi) mapped to (-pi, pi]."""
+    return np.where(angles > np.pi, angles - TWO_PI, angles)
 
 
 class GridError(ValueError):
@@ -59,7 +65,7 @@ class BoundaryGrid:
 
     def signed_angles(self) -> np.ndarray:
         """Angles mapped to (-pi, pi]; |t| measures distance to angle 0."""
-        return np.where(self.angles > np.pi, self.angles - TWO_PI, self.angles)
+        return signed_angle(self.angles)
 
     def samples(self, values) -> "BoundarySamples":
         return BoundarySamples(self, values)

@@ -297,16 +297,6 @@ class ColumnNorms:
     def total(self) -> float:
         return float(self.norms.sum())
 
-    def scaled_max(self, power: float = 2.0) -> float:
-        n = np.arange(1, len(self.norms), dtype=float)
-        return float(np.max(n**power * self.norms[1:]))
-
-    def tail_fraction(self) -> float:
-        """Contribution of the second half of the indices to the sum."""
-        half = len(self.norms) // 2
-        total = self.total
-        return float(self.norms[half:].sum() / total) if total > 0 else 0.0
-
 
 def column_pnorms(wtrace: BoundarySamples, phitrace: BoundarySamples,
                   p: float, n_max: int) -> ColumnNorms:

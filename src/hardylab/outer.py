@@ -104,8 +104,8 @@ class OuterFunction:
 
     ``log_divergent`` records that the log-modulus failed the
     integrability check; such an object still carries a valid boundary
-    modulus (all measure-level diagnostics remain meaningful) but its
-    analytic phase is unreliable and interior evaluation may degenerate.
+    modulus (all measure-level diagnostics remain meaningful), but no
+    analytic function has it, so interior evaluation is refused.
     """
 
     grid: BoundaryGrid
@@ -117,6 +117,9 @@ class OuterFunction:
         return HerglotzFunction(self.grid, self.log_modulus)
 
     def __call__(self, z):
+        if self.log_divergent:
+            raise NotLogIntegrableError(
+                "no interior values: the log-modulus is not integrable")
         return np.exp(self._herglotz(z))
 
     def boundary_modulus(self) -> BoundarySamples:

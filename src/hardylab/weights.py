@@ -19,7 +19,7 @@ import numpy as np
 from .grid import BoundaryGrid, BoundarySamples, refined_mean
 from .outer import OuterFunction
 from .symbols import LevelSets, Symbol, co_modulus, level_sets
-from .carleson import _box_indices, _corona_levels, pullback, series_verdict
+from .carleson import dyadic_boxes, pullback, series_verdict
 
 __all__ = [
     "Weight",
@@ -234,15 +234,14 @@ def stretched_staircase_delta(beta: float, k_max: int) -> np.ndarray:
     return _monotone_from_tail(np.exp(-(2.0 ** (k / beta)) / k**2))
 
 
-def eps_staircase_delta(k_max: int, eps_fn: Callable | None = None) -> np.ndarray:
-    """Schedule delta_k = exp(-2^{k/3} eps(2^k)); default eps(n) = 1/log(n)^2.
+def eps_staircase_delta(k_max: int) -> np.ndarray:
+    """Schedule delta_k = exp(-2^{k/3} eps(2^k)) with eps(n) = 1/log(n)^2.
 
     Monotonized from the tail like the stretched schedule.
     """
-    if eps_fn is None:
-        eps_fn = lambda n: 1.0 / np.log(n) ** 2
     k = np.arange(1, k_max + 1, dtype=float)
-    return _monotone_from_tail(np.exp(-(2.0 ** (k / 3.0)) * eps_fn(2.0**k)))
+    eps = 1.0 / np.log(2.0**k) ** 2
+    return _monotone_from_tail(np.exp(-(2.0 ** (k / 3.0)) * eps))
 
 
 def staircase_weight(levels: LevelSets, delta: Sequence[float]):
@@ -340,19 +339,20 @@ def box_decompact_weight(phi: Symbol, grid: BoundaryGrid):
 
     trace = phi.trace(grid)
     mu = pullback(trace, 1.0)
-    lev = _corona_levels(mu)
     cap = int(np.log2(grid.size)) - 2
+    level, box = dyadic_boxes(mu, cap)
     ks, idxs, centers, box_masses = [], [], [], []
     u = np.ones(grid.size)
     for k in range(1, cap + 1):
-        sel = np.flatnonzero(lev == k)
+        sel = np.flatnonzero(level == k)
         if sel.size == 0:
             continue
-        boxes = _box_indices(mu.angles[sel], k)
-        masses = np.bincount(boxes, weights=mu.masses[sel], minlength=1 << k)
-        j = int(np.argmax(masses))
-        mass = float(masses[j])
-        members = sel[boxes == j]
+        boxes, slot = np.unique(box[sel], return_inverse=True)
+        masses = np.bincount(slot, weights=mu.masses[sel])
+        i = int(np.argmax(masses))
+        j = int(boxes[i])
+        mass = float(masses[i])
+        members = sel[slot == i]
         u[members] += 2.0**-k / mass
         ks.append(k)
         idxs.append(j)

@@ -11,9 +11,9 @@ from hardylab.symbols import beta_exp, half, hs_extremal, lens
 from hardylab.weights import lens_decompact_weight
 from hardylab.carleson import (
     PullbackMeasure,
-    WindowSpec,
     annulus_mass,
     carleson_profile,
+    dyadic_boxes,
     graded_boundary,
     luecking_sum,
     pullback,
@@ -72,13 +72,12 @@ def test_graded_boundary_mass_exact():
 
 def test_window_mass_whole_disk():
     mu = _uniform_circle_measure()
-    spec = WindowSpec(center=1.0, size=1.0, flavor="carleson")
-    assert abs(window_mass(mu, spec) - mu.total_mass) < 1e-14
+    assert abs(window_mass(mu, 1.0, 1.0) - mu.total_mass) < 1e-14
 
 
 def test_window_mass_excludes_shallow_atom():
     mu = PullbackMeasure(np.array([0.9 + 0j]), np.array([1.0]))
-    assert window_mass(mu, WindowSpec(1.0, 0.05)) == 0.0
+    assert window_mass(mu, 1.0, 0.05) == 0.0
 
 
 def test_window_mass_lens_scaling():
@@ -86,7 +85,7 @@ def test_window_mass_lens_scaling():
     mu = pullback_graded(lens(0.5))
     ns = np.arange(4, 13)
     masses = np.array([
-        window_mass(mu, WindowSpec(1.0, 2.0**-n)) for n in ns
+        window_mass(mu, 1.0, 2.0**-n) for n in ns
     ])
     slope = np.polyfit(np.log(2.0**-ns), np.log(masses), 1)[0]
     assert abs(slope - 2.0) < 0.15
@@ -98,8 +97,8 @@ def test_window_nesting(n):
     g = make_grid(2**10)
     mu = pullback(beta_exp(2.0).trace(g), 1.0)
     h = 2.0**-n
-    big = window_mass(mu, WindowSpec(1.0, h))
-    small = window_mass(mu, WindowSpec(1.0, h / 2))
+    big = window_mass(mu, 1.0, h)
+    small = window_mass(mu, 1.0, h / 2)
     assert small <= big + 1e-15
 
 
@@ -135,7 +134,7 @@ def test_profile_lens_decompact_not_vanishing():
     assert np.isfinite(rep.constant)
     assert rep.vanishing_score >= 0.05
     ratio_at_one = np.array([
-        window_mass(nu, WindowSpec(1.0, h)) / h for h in rep.h
+        window_mass(nu, 1.0, h) / h for h in rep.h
     ])
     assert np.min(ratio_at_one) >= 0.05 * rep.constant
 
@@ -260,7 +259,8 @@ def test_annulus_hs_extremal_band():
 
 
 def test_box_partition_exactness():
-    # sum of the 2^n aligned boxes equals the dyadic annulus, atom by atom
+    # the 2^n aligned boxes of corona n hold its atoms in their angular
+    # cells, and their masses sum to the dyadic annulus, atom by atom
     cases = []
     g = make_grid(2**12)
     cases.append(pullback(half().trace(g), 1.0))
@@ -269,15 +269,55 @@ def test_box_partition_exactness():
         g.signed_angles())))
     cases.append(pullback_graded(lens(0.5)))
     for mu in cases:
+        level, box = dyadic_boxes(mu, 10)
         for n in range(0, 11):
             h = 2.0**-n
-            total = sum(
-                window_mass(mu, WindowSpec(np.exp(2j * np.pi * j / 2**n), h,
-                                           flavor="hlbox"))
-                for j in range(2**n)
-            )
+            sel = level == n
+            masses = np.bincount(box[sel], weights=mu.masses[sel],
+                                 minlength=2**n)
+            assert masses.size == 2**n
+            offset = np.angle(mu.locations[sel]
+                              * np.exp(-2j * np.pi * box[sel] / 2**n))
+            assert np.all(np.abs(offset) <= np.pi * h * (1.0 + 1e-12))
             ann = annulus_mass(mu, h, dyadic=True)
-            assert abs(total - ann) <= 1e-12 * max(ann, 1e-30)
+            assert abs(masses.sum() - ann) <= 1e-12 * max(ann, 1e-30)
+
+
+def test_dilation_edge_atoms_stay_in_corona_one():
+    # phi(z) = z/2 puts every atom on |z| = 1/2, many of them at 1/2 - ulp:
+    # the dyadic annulus, the level-1 boxes and the level-1 Carleson
+    # windows all count them on the closed side of depth 1/2
+    g = make_grid(2**10)
+    mu = pullback(g.samples(g.points / 2), 1.0)
+    assert abs(annulus_mass(mu, 0.5, dyadic=True) - 1.0) < 1e-14
+    level, box = dyadic_boxes(mu, 8)
+    assert np.all(level == 1)
+    masses = np.bincount(box, weights=mu.masses, minlength=2)
+    assert masses.size == 2 and np.all(np.abs(masses - 0.5) < 1e-14)
+    # every half circle of atoms: 512 of the 1024, or 513 with both ends
+    rho = carleson_profile(mu, 1, 4).rho[0]
+    assert 0.5 <= rho <= 513 / 1024
+
+
+def test_windows_closed_at_the_depth_edge():
+    # the guard puts |z| = 1/2 - 2 ulp at depth exactly 1/2, on the closed
+    # edge of the size-1/2 window and of its dyadic annulus
+    mu = PullbackMeasure(np.array([0.4999999999999998 + 0j]), np.array([1.0]))
+    assert window_mass(mu, 1.0, 0.5) == 1.0
+    assert annulus_mass(mu, 0.5, dyadic=True) == 1.0
+
+
+def test_corona_levels_match_dyadic_annuli_at_the_edges():
+    # atoms within a few ulp of every dyadic circle |z| = 1 - 2^-n: each
+    # corona holds exactly the atoms of the dyadic annulus of size 2^-n
+    n = np.repeat(np.arange(1, 45), 9)
+    k = np.tile(np.arange(-4, 5), 44)
+    r = (1.0 - 2.0 ** -n.astype(float)) * (1.0 + k * 2.0**-52)
+    mu = PullbackMeasure(r * np.exp(1j * k), np.ones(r.size))
+    level, _ = dyadic_boxes(mu, 50)
+    assert np.all(level >= 0)
+    for m in range(51):
+        assert np.sum(level == m) == annulus_mass(mu, 2.0**-m, dyadic=True)
 
 
 # ---------------------------------------------------------------- simp

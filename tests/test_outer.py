@@ -164,3 +164,12 @@ def test_herglotz_and_outer_refuse_points_off_the_open_disk(z):
         HerglotzFunction(g, data)(z)
     with pytest.raises(ValueError, match=r"\|z\| < 1"):
         OuterFunction(g, data)(z)
+
+
+def test_outer_divergent_refuses_interior_values():
+    g = make_grid(2**10)
+    t = np.abs(g.signed_angles())
+    w = outer_from_modulus(g.samples(np.exp(-1.0 / t)), strict=False)
+    assert w.log_divergent
+    with pytest.raises(ValueError, match="not integrable"):
+        w(0.5)

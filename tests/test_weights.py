@@ -27,7 +27,7 @@ from hardylab.weights import (
     stretched_staircase_delta,
     unit_weight,
 )
-from hardylab.carleson import WindowSpec, pullback, window_mass
+from hardylab.carleson import pullback, window_mass
 
 
 GRID = make_grid(2**12)
@@ -226,7 +226,7 @@ def test_box_decompact_beta_half():
     # nu(W(center, 2^-k)) >= 2^-k at every chosen box
     nu = pullback(phi.trace(g), u)
     for k, center in zip(boxes.ks, boxes.centers):
-        got = window_mass(nu, WindowSpec(center, 2.0 ** -float(k)))
+        got = window_mass(nu, center, 2.0 ** -float(k))
         assert got >= 2.0 ** -float(k) - 1e-12
     _outer_normalization(w)
 
