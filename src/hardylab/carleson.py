@@ -68,7 +68,8 @@ class PullbackMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        loc = np.asarray(self.locations, dtype=complex).ravel()
+        # own copy: boundary atoms are snapped in place below
+        loc = np.array(self.locations, dtype=complex).ravel()
         mas = np.asarray(self.masses, dtype=float).ravel()
         if loc.shape != mas.shape:
             raise ValueError("locations and masses must have equal length")
@@ -79,9 +80,9 @@ class PullbackMeasure:
             raise ValueError("atom locations must satisfy |z| <= 1")
         # points meant to sit on the circle arrive with |z| = 1 +- ulp;
         # snap them so the boundary-atom conventions see them as such
-        boundary = r > 1.0 - 4e-16
-        loc = np.where(boundary, loc / np.where(r > 0, r, 1.0), loc)
-        r = np.where(boundary, 1.0, r)
+        boundary = np.flatnonzero(r > 1.0 - 4e-16)
+        loc[boundary] /= r[boundary]
+        r[boundary] = 1.0
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "masses", mas)
         object.__setattr__(self, "_radii", r)
@@ -355,13 +356,17 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     The center set per level holds the 2^{n+2} dyadic roots (4x
     oversampling, which also makes the profile provably nonincreasing in
     decreasing h) plus the directions of the HEAVY_CENTERS heaviest atoms.
+
+    The atoms are sorted by angle once, stably, in O(N log N).  Level n
+    keeps the atoms of the level before it with depth <= h: a boolean filter
+    preserves the angle order, so each level costs one O(N) filter and
+    prefix sum and no sort.  Once no atom is left the remaining levels are 0.
     """
     if not 0 <= n_lo < n_hi:
         raise ValueError("need 0 <= n_lo < n_hi")
-    depth = _depth(mu)
-    order = np.argsort(depth, kind="stable")
-    depth = depth[order]
+    order = np.argsort(mu.angles, kind="stable")
     ang = mu.angles[order]
+    depth = _depth(mu)[order]
     mas = mu.masses[order]
     heavy = np.sort(mu.angles[np.argsort(mu.masses)[::-1][:HEAVY_CENTERS]])
 
@@ -369,16 +374,12 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     rho = np.zeros(len(levels))
     for i, n in enumerate(levels):
         h = 2.0**-n
-        count = np.searchsorted(depth, h, side="right")
-        if count == 0:
-            continue
-        sub_ang = ang[:count]
-        sub_mas = mas[:count]
-        sorter = np.argsort(sub_ang, kind="stable")
-        a = sub_ang[sorter]
-        m = sub_mas[sorter]
-        a_ext = np.concatenate([a, a + TWO_PI])
-        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))])
+        keep = depth <= h
+        ang, depth, mas = ang[keep], depth[keep], mas[keep]
+        if ang.size == 0:
+            break
+        a_ext = np.concatenate([ang, ang + TWO_PI])
+        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([mas, mas]))])
         n_roots = min(1 << (n + 2), MAX_ROOT_CENTERS)
         centers = np.concatenate([TWO_PI * np.arange(n_roots) / n_roots,
                                   heavy])

@@ -113,12 +113,12 @@ def taylor_coefficients(f: BoundarySamples, m: int) -> np.ndarray:
     n = f.grid.size
     if m >= n // 2:
         raise GridError(f"need m < N/2 to avoid aliasing, got m={m}, N={n}")
-    return coefficients_from_fft(np.fft.fft(f.values), m)
+    return coefficients_from_fft(np.fft.fft(f.values), m, n)
 
 
-def coefficients_from_fft(spectrum: np.ndarray, m: int) -> np.ndarray:
-    """c_0..c_m from the FFT of samples on the offset grid (no guard)."""
-    n = spectrum.size
+def coefficients_from_fft(spectrum: np.ndarray, m: int, n: int) -> np.ndarray:
+    """c_0..c_m from the FFT (or rfft) of N samples on the offset grid
+    (no guard)."""
     return spectrum[: m + 1] / n * np.exp(-1j * np.pi * np.arange(m + 1) / n)
 
 

@@ -62,8 +62,7 @@ FIT_FLOOR = 1e-12
 FIT_MIN_WINDOW = 16
 FIT_MAX_RESIDUAL = 0.5
 
-# Gram-route guards.
-KERNEL_MAX_ATOMS = 6000
+# Gram-route guard.
 KERNEL_RELATIVE_FLOOR = 2e-8
 
 
@@ -106,7 +105,7 @@ def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
             f"{name} trace is not analytic: {share:.3g} of its energy lies at "
             f"negative frequencies (limit {ANALYTIC_NEGATIVE_SHARE:g})"
         )
-    return coefficients_from_fft(spectrum, rows - 1)
+    return coefficients_from_fft(spectrum, rows - 1, trace.grid.size)
 
 
 def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
@@ -185,11 +184,6 @@ def embedding_spectrum(mu: PullbackMeasure) -> SingularSpectrum:
     interior = mu.radii < 1.0
     z = mu.locations[interior]
     r = mu.radii[interior]
-    if z.size > KERNEL_MAX_ATOMS:
-        raise ValueError(
-            f"{z.size} atoms exceed the kernel-route cap {KERNEL_MAX_ATOMS}; "
-            "use a coarser discretization"
-        )
     co = (1.0 - r) * (1.0 + r)
     limit = np.finfo(float).eps / KERNEL_RELATIVE_FLOOR
     lost = co < limit

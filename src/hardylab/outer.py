@@ -11,6 +11,11 @@ differs from the transform of the function that was sampled by the aliasing
 of the c_k and by the tail k >= N/2 of the exact series.  An outer function
 is exp(U) with u its log-modulus; its boundary modulus equals the
 prescribed one at the grid points.
+
+The data are real, so every transform here is a real FFT: H u is
+irfft(-i*sign(k) * rfft(u), N), and c_0..c_{N/2-1} are read from rfft(u).
+The spectrum of real data is conjugate-symmetric, so the half that rfft
+keeps determines it; that is half the work and memory of a complex FFT.
 """
 
 from __future__ import annotations
@@ -39,17 +44,20 @@ class NotLogIntegrableError(ValueError):
 def hilbert_transform(values: np.ndarray) -> np.ndarray:
     """Discrete conjugate function: multiplier -i*sign(k) on the spectrum.
 
-    The mean and the Nyquist coefficient are dropped, so the result has
-    zero mean and real input gives real output.
+    The mean and, for even N, the Nyquist coefficient are dropped, so the
+    result has zero mean and real input gives real output.  Complex input
+    is transformed as H(Re v) + i*H(Im v).
     """
     v = np.asarray(values)
+    if np.iscomplexobj(v):
+        return hilbert_transform(v.real) + 1j * hilbert_transform(v.imag)
     n = v.shape[-1]
-    spec = np.fft.fft(v)
-    mult = np.zeros(n, dtype=complex)
-    mult[1 : n // 2] = -1j
-    mult[n // 2 + 1 :] = 1j
-    out = np.fft.ifft(spec * mult)
-    return out.real if np.isrealobj(v) else out
+    spec = np.fft.rfft(v)
+    spec[..., 0] = 0.0
+    if n % 2 == 0:
+        spec[..., -1] = 0.0
+    spec *= -1j
+    return np.fft.irfft(spec, n)
 
 
 @dataclass(frozen=True)
@@ -71,7 +79,7 @@ class HerglotzFunction:
     def _blocks(self) -> np.ndarray:
         """c_0, 2c_1, ..., 2c_{N/2-1} as Q rows of B = 2^floor(log2(N)/2)."""
         n = int(self.grid.size)
-        c = coefficients_from_fft(np.fft.fft(self.data), n // 2 - 1)
+        c = coefficients_from_fft(np.fft.rfft(self.data), n // 2 - 1, n)
         c[1:] *= 2.0
         return c.reshape(-1, 1 << (n.bit_length() - 1) // 2)
 

@@ -337,7 +337,7 @@ def level_sets(phi, grid: BoundaryGrid, k_max: int | None = None,
         thresholds = 2.0 ** -np.arange(k_max + 1)
     else:
         thresholds = np.asarray(thresholds, dtype=float)
-        if thresholds[0] != 1.0 or np.any(np.diff(thresholds) >= 0):
+        if thresholds[0] != 1.0 or not np.all(np.diff(thresholds) < 0):
             raise ValueError("thresholds must start at 1 and strictly decrease")
         if len(thresholds) - 1 > resolution_cap:
             raise GridError(
@@ -346,10 +346,12 @@ def level_sets(phi, grid: BoundaryGrid, k_max: int | None = None,
             )
 
     co = co_modulus(phi, grid).values
-    level = np.zeros(n, dtype=np.int64)
-    for k in range(1, len(thresholds)):
-        level[co < thresholds[k]] = k
-    masses = np.array([np.mean(level >= k) for k in range(len(thresholds))])
+    # the h_k decrease, so co < h_k holds for k = 1..level and no further:
+    # level counts the h_k (k >= 1) above co; NaN is above none
+    k_top = len(thresholds) - 1
+    level = k_top - np.searchsorted(thresholds[:0:-1], co, side="right")
+    counts = np.bincount(level, minlength=k_top + 1)
+    masses = np.cumsum(counts[::-1])[::-1] / n
     return LevelSets(
         grid=grid,
         thresholds=thresholds,

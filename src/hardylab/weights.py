@@ -92,8 +92,13 @@ def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
 
 
 def unit_weight(grid: BoundaryGrid) -> Weight:
-    return _finish("unit", grid, np.ones(grid.size), np.zeros(grid.size),
-                   strict=True)
+    """w = 1: modulus and trace 1, the outer function of log-modulus 0."""
+    return Weight(
+        name="unit",
+        modulus=grid.samples(np.ones(grid.size)),
+        trace=grid.samples(np.ones(grid.size, dtype=complex)),
+        outer=OuterFunction(grid, np.zeros(grid.size)),
+    )
 
 
 def hs_weight(phi, grid: BoundaryGrid | None = None, strict: bool = True) -> Weight:

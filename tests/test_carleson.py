@@ -1,5 +1,6 @@
 """Pull-back measures, windows, boxes, profiles, box-counting sums."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,10 @@ from hardylab.grid import make_grid
 from hardylab.symbols import beta_exp, half, hs_extremal, lens
 from hardylab.weights import lens_decompact_weight
 from hardylab.carleson import (
+    HEAVY_CENTERS,
+    MAX_ROOT_CENTERS,
     PullbackMeasure,
+    _depth,
     annulus_mass,
     carleson_profile,
     dyadic_boxes,
@@ -122,6 +126,69 @@ def test_profile_monotone():
     mu = pullback(beta_exp(2.0).trace(g), 1.0)
     rep = carleson_profile(mu, 1, 11)
     assert np.all(np.diff(rep.rho) <= 1e-15)
+
+
+def _brute_profile(mu, n_lo, n_hi):
+    """Reference: per level, the atoms with depth <= h sorted by angle and
+    the closed arc masses over the profile's center set, summed directly."""
+    two_pi = 2.0 * np.pi
+    heavy = np.sort(mu.angles[np.argsort(mu.masses)[::-1][:HEAVY_CENTERS]])
+    rho = []
+    for n in range(n_lo, n_hi + 1):
+        h = 2.0**-n
+        sel = _depth(mu) <= h
+        order = np.argsort(mu.angles[sel])
+        a, m = mu.angles[sel][order], mu.masses[sel][order]
+        n_roots = min(1 << (n + 2), MAX_ROOT_CENTERS)
+        centers = np.concatenate([two_pi * np.arange(n_roots) / n_roots, heavy])
+        best = 0.0
+        for c in centers:
+            lo, hi = c - np.pi * h, c + np.pi * h
+            if lo < 0.0:
+                lo, hi = lo + two_pi, hi + two_pi
+            inside = ((lo <= a) & (a <= hi)).astype(float)
+            inside += (lo <= a + two_pi) & (a + two_pi <= hi)
+            best = max(best, math.fsum(m * inside))
+        rho.append(best)
+    return np.array(rho)
+
+
+def _profile_measures():
+    """(name, measure, exact): masses on a 2^-10 lattice make every prefix
+    sum exact, so the profile must equal the reference exactly."""
+    rng = np.random.default_rng(3)
+    k = 600
+
+    def disk(r, t):
+        return PullbackMeasure(r * np.exp(1j * t), rng.integers(1, 1024, k) / 1024)
+
+    r = 1.0 - rng.random(k) ** 6
+    t = 2 * np.pi * rng.random(k)
+    yield "random", disk(r, t), True
+    # sixteen directions, each at many depths
+    t_tied = 2 * np.pi * rng.integers(0, 16, k) / 16
+    yield "tied angles", disk(r, t_tied), True
+    yield "boundary atoms", disk(np.where(rng.random(k) < 0.3, 1.0, r), t_tied), True
+    yield "atom at 0", PullbackMeasure(np.array([0j]), np.array([1.0])), True
+    yield "shallow only", disk(0.8 * rng.random(k), t), True
+    yield "rounded masses", PullbackMeasure(r * np.exp(1j * t_tied), rng.random(k)), False
+
+
+@pytest.mark.parametrize("name, mu, exact", list(_profile_measures()))
+def test_profile_matches_brute_force(name, mu, exact):
+    rep = carleson_profile(mu, 0, 9)
+    ref = _brute_profile(mu, 0, 9)
+    if exact:
+        assert np.array_equal(rep.rho, ref)
+    else:
+        # prefix sums over the doubled atom list, N ulp each way
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(rep.rho - ref) <= 2 * mu.size * eps * mu.total_mass)
+    if name == "shallow only":
+        # depth >= 1/5: the levels from 3 on hold no atom
+        assert np.all(rep.rho[3:] == 0.0) and rep.rho[2] > 0.0
+    if name == "atom at 0":
+        assert np.all(rep.rho[1:] == 0.0)
 
 
 def test_profile_lens_decompact_not_vanishing():

@@ -160,6 +160,17 @@ def test_kernel_dilation_resolves_30_terms():
     assert np.all(np.abs(s[:30] - exact) <= 1e-6 * exact)
 
 
+def test_kernel_takes_6144_atoms():
+    # the route has no atom cap; it used to refuse more than 6000
+    atoms = 6144
+    mu = PullbackMeasure(C * np.exp(2j * np.pi * (np.arange(atoms) + 0.5) / atoms),
+                         np.full(atoms, 1.0 / atoms))
+    s = embedding_spectrum(mu).values
+    exact = C ** np.arange(30)
+    assert len(s) >= 30
+    assert np.all(np.abs(s[:30] - exact) <= 1e-6 * exact)
+
+
 def test_kernel_trace_is_total_diagonal():
     mu = pullback_graded(parse_symbol("lens:0.5"), per_octave=8)
     s = embedding_spectrum(mu).values

@@ -24,6 +24,19 @@ def test_hilbert_transform_of_cosine():
         assert np.allclose(h, np.sin(k * t), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [5, 8, 9, 16, 33])
+def test_hilbert_transform_every_frequency(n):
+    # odd N has no Nyquist term: k = (N-1)/2 is a positive frequency
+    t = 2 * np.pi * np.arange(n) / n
+    for k in range(1, (n + 1) // 2):
+        assert np.max(np.abs(hilbert_transform(np.cos(k * t))
+                             - np.sin(k * t))) < 1e-13
+        # complex input: H e^{ikt} = -i e^{ikt} and H e^{-ikt} = i e^{-ikt}
+        e = np.exp(1j * k * t)
+        assert np.max(np.abs(hilbert_transform(e) + 1j * e)) < 1e-13
+        assert np.max(np.abs(hilbert_transform(e.conj()) - 1j * e.conj())) < 1e-13
+
+
 def test_outer_constant_modulus():
     g = make_grid(512)
     w = outer_from_modulus(g.samples(np.full(512, 0.7)))

@@ -285,6 +285,44 @@ def test_level_sets_custom_thresholds():
     assert np.all(np.diff(ls.masses) <= 0)
 
 
+def _loop_level_sets(co, thresholds):
+    """Reference: one boolean pass and one mean per level."""
+    level = np.zeros(co.size, dtype=np.int64)
+    for k in range(1, len(thresholds)):
+        level[co < thresholds[k]] = k
+    return level, np.array([np.mean(level >= k) for k in range(len(thresholds))])
+
+
+@pytest.mark.parametrize("thresholds", [
+    None,
+    [1.0, 0.75, 0.375, 0.125, 2.0**-5, 1e-3],
+])
+def test_level_sets_match_loop_rule(thresholds):
+    g = make_grid(2**10)
+    rng = np.random.default_rng(7)
+    co = rng.random(g.size) ** 4
+    # co exactly on every threshold, at 0, at 1 and NaN
+    edges = 2.0 ** -np.arange(9) if thresholds is None else np.asarray(thresholds)
+    co[: edges.size] = edges
+    co[20:30] = 0.0
+    co[30:35] = 1.0
+    co[35:40] = np.nan
+    modulus = g.samples(1.0 - co)
+    co = 1.0 - modulus.values  # as level_sets reads it
+    ls = level_sets(modulus, g, thresholds=thresholds)
+    assert np.isin(ls.thresholds[ls.thresholds >= 2.0**-8], co).all()
+    level, masses = _loop_level_sets(co, ls.thresholds)
+    assert ls.level_index.dtype == level.dtype
+    assert np.array_equal(ls.level_index, level)
+    assert np.array_equal(ls.masses, masses)
+    assert np.all(ls.level_index[35:40] == 0)
+
+
+def test_level_sets_refuse_nan_thresholds():
+    with pytest.raises(ValueError):
+        level_sets(half(), make_grid(2**10), thresholds=[1.0, np.nan, 0.1])
+
+
 # ---------------------------------------------------------------- parsing
 
 def test_parse_symbol_roundtrip():
