@@ -339,7 +339,12 @@ class CarlesonReport:
 
 
 def _arc_masses(sorted_angles, prefix, lo, hi):
-    """Masses of closed arcs [lo, hi] against angle-sorted prefix sums."""
+    """Masses of closed arcs [lo, hi] against angle-sorted prefix sums.
+
+    ``sorted_angles`` is the angle list of K atoms followed by the same list
+    shifted by 2 pi.  An arc holds at most K consecutive entries, one turn,
+    so the closed full-circle arc counts the atom on both its ends once.
+    """
     lo = np.asarray(lo)
     hi = np.asarray(hi)
     shift = np.where(lo < 0.0, TWO_PI, 0.0)
@@ -347,6 +352,7 @@ def _arc_masses(sorted_angles, prefix, lo, hi):
     hi = hi + shift
     left = np.searchsorted(sorted_angles, lo, side="left")
     right = np.searchsorted(sorted_angles, hi, side="right")
+    right = np.minimum(right, left + sorted_angles.size // 2)
     return prefix[right] - prefix[left]
 
 
@@ -391,7 +397,7 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
                           ratio=rho / h_vals)
 
 
-def simp_bound(mu: PullbackMeasure, n: int, report: CarlesonReport) -> float:
+def simp_bound(n: int, report: CarlesonReport) -> float:
     """Approximation-number upper bound inf_h (e^{-n h} + sup_{t<=h}
     sqrt(rho(t)/t)) over the report's dyadic levels."""
     if n < 0:

@@ -23,6 +23,7 @@ __all__ = [
     "signed_angle",
     "quadrature",
     "taylor_coefficients",
+    "coefficients_from_fft",
     "hardy_norm",
     "log_integral",
     "refined_mean",

@@ -39,6 +39,7 @@ __all__ = [
     "SingularSpectrum",
     "DecayFit",
     "ColumnNorms",
+    "SchattenEstimate",
     "TruncationStudy",
     "operator_matrix",
     "singular_values",
@@ -55,12 +56,16 @@ __all__ = [
 # energy at negative frequencies is not the trace of an analytic function.
 ANALYTIC_NEGATIVE_SHARE = 1e-2
 
-# decay_fit defaults: skip the transient head, drop values at the noise
-# floor, refuse fits with large log-log residual.
+# decay_fit: skip the transient head, drop values at the noise floor,
+# refuse fits with large log-log residual.
 FIT_SKIP = 8
 FIT_FLOOR = 1e-12
 FIT_MIN_WINDOW = 16
 FIT_MAX_RESIDUAL = 0.5
+
+# Truncation study: a relative change of s_n above this between consecutive
+# cuts marks the index as not yet converged.
+STUDY_TOL = 0.01
 
 # Gram-route guard.
 KERNEL_RELATIVE_FLOOR = 2e-8
@@ -319,25 +324,20 @@ class DecayFit:
     ok: bool
 
 
-def decay_fit(spectrum: SingularSpectrum, window: tuple | None = None,
-              floor: float | None = None) -> DecayFit:
+def decay_fit(spectrum: SingularSpectrum) -> DecayFit:
     """Fit log log(1/s_n) against log n over a window of indices (1-based).
 
-    The default window drops the first FIT_SKIP indices (transient) and
-    everything at or below the spectrum's noise floor.  A fit with log-log
-    RMS residual above 0.5, or a window shorter than 16 points, is
-    returned as not ok ("unfittable").
+    The window drops the first FIT_SKIP indices (transient) and ends at the
+    last index above the spectrum's noise floor; values at or above 1 are
+    left out.  A fit with log-log RMS residual above FIT_MAX_RESIDUAL, or
+    fewer than FIT_MIN_WINDOW points, is returned as not ok ("unfittable").
     """
     s = spectrum.values
     idx = np.arange(1, len(s) + 1)
-    if floor is None:
-        floor = spectrum.floor
-    if window is None:
-        lo = FIT_SKIP + 1
-        above = idx[s > floor]
-        hi = int(above[-1]) if len(above) else 0
-    else:
-        lo, hi = int(window[0]), int(window[1])
+    floor = spectrum.floor
+    lo = FIT_SKIP + 1
+    above = idx[s > floor]
+    hi = int(above[-1]) if len(above) else 0
     mask = (idx >= lo) & (idx <= hi) & (s > floor) & (s < 1.0)
     bad = DecayFit(b=float("nan"), gamma=float("nan"), residual=float("inf"),
                    window=(lo, hi), ok=False)
@@ -356,21 +356,24 @@ def decay_fit(spectrum: SingularSpectrum, window: tuple | None = None,
 
 @dataclass(frozen=True)
 class TruncationStudy:
-    """Per-index relative change of s_n between consecutive cuts."""
+    """Per-index relative change of s_n between consecutive cuts.
+
+    An index counts as converged while its change stays below STUDY_TOL.
+    """
 
     cuts: tuple
     spectra: tuple
     changes: tuple  # one array per consecutive pair
 
-    def stable_through(self, count: int, tol: float = 0.01) -> bool:
-        """True when s_1..s_count moved less than tol at every doubling."""
-        return all(len(ch) >= count and float(np.max(ch[:count])) < tol
+    def stable_through(self, count: int) -> bool:
+        """True when s_1..s_count moved less than STUDY_TOL at every doubling."""
+        return all(len(ch) >= count and float(np.max(ch[:count])) < STUDY_TOL
                    for ch in self.changes)
 
-    def flagged(self, tol: float = 0.01) -> np.ndarray:
-        """1-based indices whose last-pair change exceeds tol."""
+    def flagged(self) -> np.ndarray:
+        """1-based indices whose last-pair change exceeds STUDY_TOL."""
         last = self.changes[-1]
-        return np.flatnonzero(last > tol) + 1
+        return np.flatnonzero(last > STUDY_TOL) + 1
 
 
 def truncation_study(trace_factory, cuts: Sequence[tuple]) -> TruncationStudy:

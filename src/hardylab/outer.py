@@ -110,15 +110,20 @@ class HerglotzFunction:
 class OuterFunction:
     """Outer function exp(U), U the Herglotz function of log-modulus samples.
 
-    ``log_divergent`` records that the log-modulus failed the
-    integrability check; such an object still carries a valid boundary
-    modulus (all measure-level diagnostics remain meaningful), but no
-    analytic function has it, so interior evaluation is refused.
+    ``log_divergent`` is the verdict of :func:`hardylab.grid.refined_mean` on
+    the log-modulus, computed once on first use.  A divergent log-modulus
+    still gives a valid boundary modulus (all measure-level diagnostics
+    remain meaningful), but no analytic function has it: interior
+    evaluation is refused and the boundary trace is the modulus with flat
+    phase.
     """
 
     grid: BoundaryGrid
     log_modulus: np.ndarray
-    log_divergent: bool = False
+
+    @cached_property
+    def log_divergent(self) -> bool:
+        return refined_mean(self.log_modulus).divergent
 
     @cached_property
     def _herglotz(self) -> HerglotzFunction:
@@ -156,17 +161,15 @@ def herglotz_map(u: BoundarySamples) -> HerglotzFunction:
 def outer_from_modulus(u: BoundarySamples, strict: bool = True) -> OuterFunction:
     """Outer function with |w*| = u at the grid points.
 
-    With ``strict`` (default) a modulus whose log fails the divergence rule
-    of :func:`hardylab.grid.refined_mean` raises
-    :class:`NotLogIntegrableError`; otherwise the divergence is recorded on
-    the result.
+    With ``strict`` (default) a modulus whose log is not integrable raises
+    :class:`NotLogIntegrableError`; otherwise the result carries the verdict
+    as ``log_divergent``.
     """
     vals = np.asarray(u.values, dtype=float)
     if np.any(vals < 0) or np.any(~np.isfinite(vals)):
         raise ValueError("modulus samples must be finite and nonnegative")
     with np.errstate(divide="ignore"):
-        logs = np.log(vals)
-    divergent = refined_mean(logs).divergent
-    if divergent and strict:
+        outer = OuterFunction(u.grid, np.log(vals))
+    if strict and outer.log_divergent:
         raise NotLogIntegrableError("not log-integrable")
-    return OuterFunction(u.grid, logs, log_divergent=divergent)
+    return outer

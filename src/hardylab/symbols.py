@@ -360,18 +360,6 @@ def level_sets(phi, grid: BoundaryGrid, k_max: int | None = None,
     )
 
 
-def boundary_contact_fraction(modulus: BoundarySamples, deltas) -> np.ndarray:
-    """Fraction of samples with |phi*| > 1 - delta, per delta.
-
-    Proxy for m({|phi*| = 1}) = 0: for a fixed grid the fraction at a fixed
-    delta is the measure of a fixed super-level set, so the diagnostic
-    refines delta (not the grid) and checks the fractions decrease toward
-    zero.
-    """
-    v = np.asarray(modulus.values, dtype=float)
-    return np.array([float(np.mean(v > 1.0 - d)) for d in np.asarray(deltas)])
-
-
 def parse_symbol(spec: str) -> Symbol:
     """Build a catalog symbol from its CLI name.
 

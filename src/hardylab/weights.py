@@ -1,24 +1,25 @@
-"""Weight constructions: every recipe produces |w*| on the grid plus, when
-the log-modulus is integrable, the analytic outer function behind it.
+"""Weight constructions: every recipe produces |w*| on the grid and the
+outer function of its log-modulus.
 
-A weight whose prescribed modulus fails log-integrability (the recipe
-target vanishes too hard) cannot be completed to an analytic outer
-function; with ``strict=False`` the recipe still returns the boundary
-modulus with flat phase, which is all the measure-level diagnostics ever
-read: the singular values of the weighted composition operator depend on
-|w*| only.
+The outer function decides whether the prescribed modulus is
+log-integrable (:attr:`hardylab.outer.OuterFunction.log_divergent`).  A
+weight whose modulus is not (the recipe target vanishes too hard) cannot be
+completed to an analytic function: strict recipes raise, and with
+``strict=False`` the recipe returns the boundary modulus with flat phase,
+which is all the measure-level diagnostics ever read: the singular values
+of the weighted composition operator depend on |w*| only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples, refined_mean
+from .grid import BoundaryGrid, BoundarySamples
 from .outer import OuterFunction
-from .symbols import LevelSets, Symbol, co_modulus, level_sets
+from .symbols import LevelSets, Symbol, co_modulus, lens, level_sets
 from .carleson import dyadic_boxes, pullback, series_verdict
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
 # Deep-approach threshold for the ||phi||_inf = 1 proxy: the co-modulus must
 # drop below this along a dyadic angle ladder toward a contact point.
 NORM_ONE_CO_THRESHOLD = 1e-6
+# Number of schedule entries n = 1, 2, ... a compactifying weight tries.
+COMPACTIFY_TERMS = 64
 
 
 class WeightError(ValueError):
@@ -51,17 +54,25 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class Weight:
-    """Boundary data of a weight: exact modulus target plus analytic trace."""
+    """Boundary data of a weight: exact modulus target, boundary trace and
+    the outer function of the log-modulus.
+
+    The trace is the outer function's boundary trace (the modulus with flat
+    phase when ``log_divergent``), or a closed form where the recipe has one.
+    """
 
     name: str
     modulus: BoundarySamples
     trace: BoundarySamples
-    log_divergent: bool = False
-    outer: Optional[OuterFunction] = None
+    outer: OuterFunction
 
     @property
     def grid(self) -> BoundaryGrid:
         return self.modulus.grid
+
+    @property
+    def log_divergent(self) -> bool:
+        return self.outer.log_divergent
 
     def density(self) -> np.ndarray:
         """|w*|^2, the boundary density seen by the pull-back measure."""
@@ -73,20 +84,13 @@ class Weight:
 
 def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
             log_modulus: np.ndarray, strict: bool) -> Weight:
-    divergent = refined_mean(log_modulus).divergent
-    if divergent and strict:
+    outer = OuterFunction(grid, log_modulus)
+    if strict and outer.log_divergent:
         raise WeightError(f"{name}: divergent log-integral")
-    if divergent:
-        trace = modulus.astype(complex)
-        outer = None
-    else:
-        outer = OuterFunction(grid, log_modulus)
-        trace = outer.boundary().values
     return Weight(
         name=name,
         modulus=grid.samples(modulus),
-        trace=grid.samples(trace),
-        log_divergent=divergent,
+        trace=outer.boundary(),
         outer=outer,
     )
 
@@ -104,25 +108,18 @@ def unit_weight(grid: BoundaryGrid) -> Weight:
 def hs_weight(phi, grid: BoundaryGrid | None = None, strict: bool = True) -> Weight:
     """Outer weight with |w*|^2 = 1 - |phi*| pointwise at the grid angles.
 
-    ``phi`` is a catalog symbol or modulus samples (then ``grid`` is taken
-    from them).  Raises "divergent log-integral" when log(1 - |phi*|) fails
-    the integrability check, unless ``strict=False``.
+    This is :func:`power_weight` at K = 1/2, named "hs".  ``phi`` is a
+    catalog symbol or modulus samples (then ``grid`` is taken from them).
+    Raises "divergent log-integral" when log(1 - |phi*|) is not integrable,
+    unless ``strict=False``.
     """
-    co = co_modulus(phi, grid)
-    with np.errstate(divide="ignore"):
-        log_modulus = 0.5 * np.log(co.values)
-    return _finish("hs", co.grid, np.sqrt(co.values), log_modulus, strict)
+    return _co_power("hs", co_modulus(phi, grid), 0.5, strict)
 
 
-def default_gauge(k_floor: float = 2.0) -> Callable:
-    """Nondecreasing gauge g(t) = max(k_floor, log log(e^2/(1-t))) -> inf."""
-
-    def gauge(t):
-        t = np.asarray(t, dtype=float)
-        inner = np.maximum(1.0 - t, 1e-300)
-        return np.maximum(k_floor, np.log(2.0 + np.log(1.0 / inner)))
-
-    return gauge
+def default_gauge(t):
+    """Nondecreasing gauge g(t) = max(2, log log(e^2/(1-t))) -> inf."""
+    inner = np.maximum(1.0 - np.asarray(t, dtype=float), 1e-300)
+    return np.maximum(2.0, np.log(2.0 + np.log(1.0 / inner)))
 
 
 def power_weight(phi, grid: BoundaryGrid | None = None, exponent=2.0,
@@ -132,25 +129,27 @@ def power_weight(phi, grid: BoundaryGrid | None = None, exponent=2.0,
     ``exponent`` is a constant K >= 0 (K = 0 passes the unit weight
     through) or a nondecreasing gauge callable evaluated at the modulus.
     """
-    samples = co_modulus(phi, grid)
-    grid, co = samples.grid, samples.values
+    co = co_modulus(phi, grid)
     if callable(exponent):
-        expo = np.asarray(exponent(1.0 - co), dtype=float)
+        expo = np.asarray(exponent(1.0 - co.values), dtype=float)
         if np.any(expo < 1.0):
             raise WeightError("gauge values must be >= 1")
-        name = "gauge"
-    else:
-        expo = float(exponent)
-        if expo < 0:
-            raise WeightError("power exponent must be >= 0")
-        if expo == 0.0:
-            return unit_weight(grid)
-        name = f"power:{expo:g}"
+        return _co_power("gauge", co, expo, strict)
+    expo = float(exponent)
+    if expo < 0:
+        raise WeightError("power exponent must be >= 0")
+    if expo == 0.0:
+        return unit_weight(co.grid)
+    return _co_power(f"power:{expo:g}", co, expo, strict)
+
+
+def _co_power(name: str, co: BoundarySamples, expo, strict: bool) -> Weight:
+    """Weight with |w*| = co^expo, co the samples of 1 - |phi*|."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        modulus = co**expo
-        log_modulus = expo * np.log(co)
+        modulus = co.values**expo
+        log_modulus = expo * np.log(co.values)
     log_modulus = np.where(np.isnan(log_modulus), -np.inf, log_modulus)
-    return _finish(name, grid, modulus, log_modulus, strict)
+    return _finish(name, co.grid, modulus, log_modulus, strict)
 
 
 @dataclass(frozen=True)
@@ -167,17 +166,18 @@ class CompactifySchedule:
         return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
 
 
-def compactify_weight(levels: LevelSets, n_max: int = 64):
+def compactify_weight(levels: LevelSets):
     """Weight with |w*| = prod over n of (1/n on F_{k_n}, 1 elsewhere).
 
-    The schedule k_n = min{k : c_k <= 2^-n} forces sum c_{k_n} log n <=
-    sum 2^-n log n, so the reported series is summable by construction.
+    The schedule k_n = min{k : c_k <= 2^-n}, for n = 1..COMPACTIFY_TERMS
+    while such a level exists, forces sum c_{k_n} log n <= sum 2^-n log n,
+    so the reported series is summable by construction.
     Returns (weight, schedule).
     """
     c = levels.masses
     k_available = np.arange(len(c))
     ks, terms = [], []
-    for n in range(1, n_max + 1):
+    for n in range(1, COMPACTIFY_TERMS + 1):
         ok = k_available[(c <= 2.0**-n) & (k_available >= 1)]
         if len(ok) == 0:
             if n == 1:
@@ -284,24 +284,20 @@ def lens_decompact_weight(theta: float, grid: BoundaryGrid) -> Weight:
 
     The negative power amplifies mass near the contact point exactly hard
     enough to keep the pull-back measure Carleson but not vanishing; a is
-    chosen so 2 a theta = theta - 1 > -1, hence w is in H^2.
+    chosen so 2 a theta = theta - 1 > -1, hence w is in H^2.  The trace is
+    the closed form; ``outer`` is the outer function of the same modulus
+    (1 - lambda_theta is outer, having positive real part).
     """
-    from .symbols import lens  # local import to keep module load light
-
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
     a = 0.5 * (1.0 - 1.0 / theta)
     lam = lens(theta).trace(grid).values
     base = 1.0 - lam
-    trace = base**a
-    modulus = np.abs(base) ** a
-    log_modulus = a * np.log(np.abs(base))
     return Weight(
         name=f"lensdecomp:{theta:g}",
-        modulus=grid.samples(modulus),
-        trace=grid.samples(trace),
-        log_divergent=False,
-        outer=None,
+        modulus=grid.samples(np.abs(base) ** a),
+        trace=grid.samples(base**a),
+        outer=OuterFunction(grid, a * np.log(np.abs(base))),
     )
 
 
@@ -396,7 +392,7 @@ def parse_weight(spec: str, phi: Symbol, grid: BoundaryGrid,
     if name == "power":
         return power_weight(phi, grid, float(arg), strict=strict)
     if name == "gauge":
-        return power_weight(phi, grid, default_gauge(), strict=strict)
+        return power_weight(phi, grid, default_gauge, strict=strict)
     if name == "compactify":
         return compactify_weight(level_sets(phi, grid))[0]
     if name == "staircase":

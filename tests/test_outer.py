@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hardylab.grid import make_grid, quadrature, taylor_coefficients
+from hardylab import outer as outer_module
+from hardylab.grid import make_grid, quadrature, refined_mean, taylor_coefficients
 from hardylab.outer import (
     HerglotzFunction,
     NotLogIntegrableError,
@@ -13,6 +14,8 @@ from hardylab.outer import (
     hilbert_transform,
     outer_from_modulus,
 )
+from hardylab.symbols import half
+from hardylab.weights import hs_weight
 
 
 def test_hilbert_transform_of_cosine():
@@ -177,6 +180,37 @@ def test_herglotz_and_outer_refuse_points_off_the_open_disk(z):
         HerglotzFunction(g, data)(z)
     with pytest.raises(ValueError, match=r"\|z\| < 1"):
         OuterFunction(g, data)(z)
+
+
+def test_outer_function_owns_its_divergence_verdict():
+    # built directly, with no verdict passed in: -1/|t| is not integrable
+    g = make_grid(2**10)
+    f = OuterFunction(g, -1.0 / np.abs(g.signed_angles()))
+    assert f.log_divergent
+    with pytest.raises(NotLogIntegrableError):
+        f(0.5)
+    b = f.boundary().values
+    assert np.all(np.angle(b) == 0.0)
+    assert np.array_equal(b, f.boundary_modulus().values)
+
+
+def test_outer_verdict_is_computed_once(monkeypatch):
+    calls = []
+
+    def counting(values):
+        calls.append(1)
+        return refined_mean(values)
+
+    monkeypatch.setattr(outer_module, "refined_mean", counting)
+    g = make_grid(512)
+    f = outer_from_modulus(g.samples(np.exp(np.cos(g.angles))))
+    f.boundary()
+    f(0.5)
+    assert not f.log_divergent
+    w = hs_weight(half(), g)
+    w.outer(0.5)
+    assert not w.log_divergent
+    assert len(calls) == 2
 
 
 def test_outer_divergent_refuses_interior_values():

@@ -8,7 +8,6 @@ import pytest
 from hardylab.grid import make_grid, log_integral
 from hardylab.symbols import (
     beta_exp,
-    boundary_contact_fraction,
     constant,
     custom_outer,
     extreme_not_exposed,
@@ -200,10 +199,11 @@ def test_extreme_co_modulus_not_log_integrable():
 
 
 def test_extreme_boundary_contact_fractions_vanish():
-    # proxy for m({|phi*| = 1}) = 0: super-level fractions decrease with delta
+    # proxy for m({|phi*| = 1}) = 0: the masses of {|phi*| > 1 - delta}
+    # decrease with delta; read from the co-modulus, so 1e-24 is resolved
     phi = extreme_not_exposed()
     g = make_grid(2**14)
-    fr = boundary_contact_fraction(phi.modulus(g), [1e-6, 1e-12, 1e-24])
+    fr = level_sets(phi, g, thresholds=[1.0, 1e-6, 1e-12, 1e-24]).masses[1:]
     assert np.all(np.diff(fr) < 0)
     assert fr[1] < 0.02
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardylab.grid import make_grid, quadrature, hardy_norm
+from hardylab.outer import NotLogIntegrableError
 from hardylab.symbols import (
     beta_exp,
     constant,
@@ -68,7 +69,9 @@ def test_hs_weight_extreme_divergent():
 def test_hs_weight_nonstrict_keeps_modulus():
     phi = hs_extremal()
     w = hs_weight(phi, GRID, strict=False)
-    assert w.log_divergent and w.outer is None
+    assert w.log_divergent
+    with pytest.raises(NotLogIntegrableError):
+        w.outer(0.5)
     co = phi.co_modulus_of_angle(GRID.signed_angles())
     assert np.allclose(w.density(), co, rtol=1e-12)
     # the H2 norm of the modulus is perfectly finite
@@ -94,7 +97,7 @@ def test_power_weight_k2_pointwise_bound():
 def test_gauge_weight_dominated_by_power():
     # gauge >= 2 everywhere, so (1-u)^gauge <= (1-u)^2 pointwise
     phi = half()
-    wg = power_weight(phi, GRID, default_gauge(2.0))
+    wg = power_weight(phi, GRID, default_gauge)
     w2 = power_weight(phi, GRID, 2.0)
     assert np.all(wg.modulus.values <= w2.modulus.values + 1e-15)
     _outer_normalization(wg)
@@ -205,6 +208,18 @@ def test_lens_decompact_value_at_zero():
     w = lens_decompact_weight(0.5, GRID)
     logs = np.log(w.modulus.values)
     assert abs(np.exp(np.mean(logs)) - 1.0) < 1e-3
+
+
+def test_lens_decompact_outer_matches_closed_form():
+    # the outer function of the recipe's log-modulus is (1 - lambda)^a
+    g = make_grid(2**16)
+    w = lens_decompact_weight(0.5, g)
+    lam = lens(0.5)
+    assert not w.log_divergent
+    for r in (0.0, 0.5, 0.9):
+        z = r * np.exp(1j * (0.3 + 2 * np.pi * np.arange(16) / 16))
+        exact = (1.0 - lam(z)) ** -0.5
+        assert np.max(np.abs(w.outer(z) / exact - 1.0)) < 1e-4
 
 
 # ---------------------------------------------------------------- boxes
