@@ -35,6 +35,7 @@ __all__ = [
     "PullbackMeasure",
     "CarlesonReport",
     "LueckingReport",
+    "Series",
     "pullback",
     "pullback_graded",
     "graded_boundary",
@@ -42,7 +43,6 @@ __all__ = [
     "dyadic_boxes",
     "carleson_profile",
     "luecking_sum",
-    "series_verdict",
     "annulus_mass",
     "simp_bound",
 ]
@@ -52,9 +52,8 @@ HEAVY_CENTERS = 64
 # Cap on dyadic root centers per profile level.
 MAX_ROOT_CENTERS = 2**18
 
-# Series verdict: a fitted tail exponent above S_CONVERGING reads as a
-# converging series, one below S_DIVERGING as diverging.  Box-counting sums
-# over fewer than MIN_LEVELS levels are inconclusive.
+# Series verdict thresholds on the fitted tail exponent (:class:`Series`);
+# box-counting sums over fewer than MIN_LEVELS levels are inconclusive.
 S_CONVERGING = 1.25
 S_DIVERGING = 1.0
 MIN_LEVELS = 8
@@ -233,57 +232,88 @@ def dyadic_boxes(mu: PullbackMeasure,
 
 
 @dataclass(frozen=True)
-class LueckingReport:
-    """Per-level box-counting sums sum_j [2^n mu(box)]^{p/2} and verdict."""
+class Series:
+    """The series sum of nonnegative ``terms`` over ``indices``.
 
-    p: float
-    levels: np.ndarray
-    per_level: np.ndarray
-    partial_sums: np.ndarray
-    verdict: str
+    ``verdict`` reads its reason, ``tail_exponent``: the power s of terms ~
+    n^{-s} fitted over the indices from half the last one on.  Above
+    S_CONVERGING it is "converging", below S_DIVERGING "diverging", else (or
+    when None) "inconclusive".  A zero last term (finite support) converges.
+    """
+
+    indices: np.ndarray
+    terms: np.ndarray
+
+    def __post_init__(self):
+        indices = np.asarray(self.indices)
+        terms = np.asarray(self.terms, dtype=float)
+        if indices.shape != terms.shape or terms.ndim != 1 or np.any(terms < 0):
+            raise ValueError("a series takes equal-length 1-d indices and "
+                             "nonnegative terms")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "terms", terms)
+
+    @property
+    def partial_sums(self) -> np.ndarray:
+        return np.cumsum(self.terms)
 
     @property
     def total(self) -> float:
-        return float(self.partial_sums[-1])
+        return float(self.terms.sum())
 
+    @property
+    def tail_exponent(self) -> float | None:
+        """Fitted s of terms ~ n^{-s}; None with fewer than four positive
+        tail terms."""
+        n = self.indices
+        if n.size == 0:
+            return None
+        tail = (n >= max(1, n[-1] // 2)) & (self.terms > 0)
+        if tail.sum() < 4:
+            return None
+        x = np.log(n[tail].astype(float))
+        return -float(np.polyfit(x, np.log(self.terms[tail]), 1)[0])
 
-def _tail_exponent(levels: np.ndarray, increments: np.ndarray) -> float | None:
-    """Fitted power-law exponent s of increments ~ n^{-s} over the tail."""
-    mask = (levels >= max(1, levels[-1] // 2)) & (increments > 0)
-    if mask.sum() < 4:
-        return None
-    x = np.log(levels[mask].astype(float))
-    y = np.log(increments[mask])
-    return -float(np.polyfit(x, y, 1)[0])
-
-
-def series_verdict(indices, terms) -> str:
-    """"converging", "diverging" or "inconclusive" for the series sum terms.
-
-    A zero sum or a zero last term (finite support) converges.  Otherwise
-    the verdict reads the power s of terms ~ n^{-s} fitted over the tail:
-    above S_CONVERGING converging, below S_DIVERGING diverging, and
-    inconclusive in between or when the tail has too few positive terms.
-    """
-    terms = np.asarray(terms, dtype=float)
-    if float(np.sum(terms)) == 0.0 or terms[-1] == 0.0:
-        return "converging"
-    s = _tail_exponent(np.asarray(indices), terms)
-    if s is None:
+    @property
+    def verdict(self) -> str:
+        if self.terms.size == 0 or self.terms[-1] == 0.0:
+            return "converging"
+        s = self.tail_exponent
+        if s is None:
+            return "inconclusive"
+        if s > S_CONVERGING:
+            return "converging"
+        if s < S_DIVERGING:
+            return "diverging"
         return "inconclusive"
-    if s > S_CONVERGING:
-        return "converging"
-    if s < S_DIVERGING:
-        return "diverging"
-    return "inconclusive"
+
+
+@dataclass(frozen=True)
+class LueckingReport:
+    """Box-counting sums sum_j [2^n mu(box)]^{p/2} as a series over levels n."""
+
+    p: float
+    series: Series
+
+    @property
+    def per_level(self) -> np.ndarray:
+        return self.series.terms
+
+    @property
+    def verdict(self) -> str:
+        """The series verdict, or "inconclusive" below MIN_LEVELS levels."""
+        if self.series.indices.size < MIN_LEVELS:
+            return "inconclusive"
+        return self.series.verdict
 
 
 def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     """Box-counting sums of the S_p embedding criterion up to level n_max.
 
     Level n sums [2^n mu(box)]^{p/2} over the 2^n aligned half-open boxes
-    tiling the dyadic corona; the verdict is :func:`series_verdict` of the
-    per-level sums, or "inconclusive" below MIN_LEVELS levels.
+    tiling the dyadic corona.  The report holds them as the :class:`Series`
+    over levels 0..n_max, whose verdict decides membership in S_p; fewer
+    than MIN_LEVELS levels read "inconclusive".
     """
     if p <= 0:
         raise ValueError("Schatten exponent must be positive")
@@ -298,16 +328,7 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
         masses = np.bincount(slot, weights=mu.masses[sel])
         nz = masses[masses > 0]
         per_level[n] = float(np.sum((nz * (1 << n)) ** (p / 2.0)))
-    levels = np.arange(n_max + 1)
-    verdict = (series_verdict(levels, per_level) if len(levels) >= MIN_LEVELS
-               else "inconclusive")
-    return LueckingReport(
-        p=p,
-        levels=levels,
-        per_level=per_level,
-        partial_sums=np.cumsum(per_level),
-        verdict=verdict,
-    )
+    return LueckingReport(p=p, series=Series(np.arange(n_max + 1), per_level))
 
 
 def annulus_mass(mu: PullbackMeasure, h: float, dyadic: bool = False) -> float:
@@ -361,7 +382,9 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
 
     The center set per level holds the 2^{n+2} dyadic roots (4x
     oversampling, which also makes the profile provably nonincreasing in
-    decreasing h) plus the directions of the HEAVY_CENTERS heaviest atoms.
+    decreasing h) plus the directions of the HEAVY_CENTERS heaviest atoms
+    (all atoms when there are fewer), picked by an O(N) partition; among
+    equal masses at the cut the later atoms are taken.
 
     The atoms are sorted by angle once, stably, in O(N log N).  Level n
     keeps the atoms of the level before it with depth <= h: a boolean filter
@@ -374,7 +397,11 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     ang = mu.angles[order]
     depth = _depth(mu)[order]
     mas = mu.masses[order]
-    heavy = np.sort(mu.angles[np.argsort(mu.masses)[::-1][:HEAVY_CENTERS]])
+    light = mu.size - HEAVY_CENTERS
+    cut = np.partition(mu.masses, light)[light] if light > 0 else -np.inf
+    above = np.flatnonzero(mu.masses > cut)
+    heavy = np.sort(mu.angles[np.concatenate([  # ties (N when uniform) not kept
+        above, np.flatnonzero(mu.masses == cut)[above.size - HEAVY_CENTERS:]])])
 
     levels = np.arange(n_lo, n_hi + 1)
     rho = np.zeros(len(levels))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .grid import (BoundarySamples, GridError, IntegralResult,
                    coefficients_from_fft, refined_mean)
-from .carleson import PullbackMeasure
+from .carleson import PullbackMeasure, Series
 
 __all__ = [
     "OperatorMatrix",
@@ -262,27 +262,21 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
 
 class SchattenEstimate(NamedTuple):
     value: float
-    tail: str  # "stable" or "growing"
+    series: Series  # sum s_n^p over n = 1..len(spectrum)
 
 
 def schatten_estimate(spectrum: SingularSpectrum, p: float) -> SchattenEstimate:
-    """(sum s_n^p)^{1/p} over the truncation, with a tail-health flag.
+    """(sum s_n^p)^{1/p} over the truncation, with the series it sums.
 
-    The flag reads "growing" when the last quartile of the truncated list
-    contributes more than 10% of the sum: membership in the class cannot
-    then be asserted from this truncation.
+    Membership in S_p can be asserted from this truncation only when the
+    series verdict reads "converging"; the tail exponent says why it does
+    or does not.
     """
     if p <= 0:
         raise ValueError("Schatten exponent must be positive")
     s = spectrum.values
-    powers = s.astype(float) ** p
-    total = float(powers.sum())
-    if total == 0.0:
-        return SchattenEstimate(0.0, "stable")
-    cut = (3 * len(powers)) // 4
-    tail = float(powers[cut:].sum())
-    flag = "growing" if tail > 0.10 * total else "stable"
-    return SchattenEstimate(total ** (1.0 / p), flag)
+    series = Series(np.arange(1, len(s) + 1), s.astype(float) ** p)
+    return SchattenEstimate(series.total ** (1.0 / p), series)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ __all__ = [
     "hs_extremal",
     "custom_outer",
     "constant",
-    "co_modulus",
     "level_sets",
     "parse_symbol",
 ]
@@ -91,6 +90,10 @@ class Symbol:
 
     def modulus(self, grid: BoundaryGrid) -> BoundarySamples:
         return grid.samples(self.modulus_of_angle(grid.signed_angles()))
+
+    def co_modulus(self, grid: BoundaryGrid) -> BoundarySamples:
+        """Samples of 1 - |phi*| at the grid angles, cancellation-free."""
+        return grid.samples(self.co_modulus_of_angle(grid.signed_angles()))
 
     def trace(self, grid: BoundaryGrid) -> BoundarySamples:
         t = grid.signed_angles()
@@ -280,20 +283,6 @@ def constant(c: complex) -> Symbol:
     )
 
 
-def co_modulus(phi, grid: BoundaryGrid | None = None) -> BoundarySamples:
-    """Samples of 1 - |phi*|, cancellation-free when phi is a Symbol.
-
-    ``phi`` is a catalog symbol (then ``grid`` is required) or modulus
-    samples (then ``grid`` defaults to theirs).
-    """
-    if isinstance(phi, Symbol):
-        if grid is None:
-            raise ValueError("grid required when phi is a Symbol")
-        return grid.samples(phi.co_modulus_of_angle(grid.signed_angles()))
-    values = 1.0 - np.asarray(phi.values, dtype=float)
-    return (phi.grid if grid is None else grid).samples(values)
-
-
 @dataclass(frozen=True)
 class LevelSets:
     """Nested boundary sets F_k = {|phi*| > 1 - h_k} with masses c_k.
@@ -317,9 +306,9 @@ class LevelSets:
         return self.level_index >= k
 
 
-def level_sets(phi, grid: BoundaryGrid, k_max: int | None = None,
+def level_sets(phi: Symbol, grid: BoundaryGrid, k_max: int | None = None,
                thresholds=None) -> LevelSets:
-    """Compute level-set masses of a symbol (or of modulus samples).
+    """Compute level-set masses of a symbol on the grid.
 
     Dyadic thresholds h_k = 2^{-k} by default; pass explicit decreasing
     ``thresholds`` (h_0 = 1 first) for non-dyadic schedules.  The guard
@@ -345,7 +334,7 @@ def level_sets(phi, grid: BoundaryGrid, k_max: int | None = None,
                 f"{resolution_cap}"
             )
 
-    co = co_modulus(phi, grid).values
+    co = phi.co_modulus(grid).values
     # the h_k decrease, so co < h_k holds for k = 1..level and no further:
     # level counts the h_k (k >= 1) above co; NaN is above none
     k_top = len(thresholds) - 1

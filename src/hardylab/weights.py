@@ -1,6 +1,10 @@
 """Weight constructions: every recipe produces |w*| on the grid and the
 outer function of its log-modulus.
 
+Recipes read a catalog :class:`hardylab.symbols.Symbol` on a grid (a table
+enters as :func:`hardylab.symbols.custom_outer`).  Compactify and staircase
+report the series they keep summable as a :class:`hardylab.carleson.Series`.
+
 The outer function decides whether the prescribed modulus is
 log-integrable (:attr:`hardylab.outer.OuterFunction.log_divergent`).  A
 weight whose modulus is not (the recipe target vanishes too hard) cannot be
@@ -19,14 +23,13 @@ import numpy as np
 
 from .grid import BoundaryGrid, BoundarySamples
 from .outer import OuterFunction
-from .symbols import LevelSets, Symbol, co_modulus, lens, level_sets
-from .carleson import dyadic_boxes, pullback, series_verdict
+from .symbols import LevelSets, Symbol, lens, level_sets
+from .carleson import Series, dyadic_boxes, pullback
 
 __all__ = [
     "Weight",
     "WeightError",
     "CompactifySchedule",
-    "StaircaseSeries",
     "BoxSelection",
     "unit_weight",
     "hs_weight",
@@ -105,15 +108,14 @@ def unit_weight(grid: BoundaryGrid) -> Weight:
     )
 
 
-def hs_weight(phi, grid: BoundaryGrid | None = None, strict: bool = True) -> Weight:
+def hs_weight(phi: Symbol, grid: BoundaryGrid, strict: bool = True) -> Weight:
     """Outer weight with |w*|^2 = 1 - |phi*| pointwise at the grid angles.
 
-    This is :func:`power_weight` at K = 1/2, named "hs".  ``phi`` is a
-    catalog symbol or modulus samples (then ``grid`` is taken from them).
-    Raises "divergent log-integral" when log(1 - |phi*|) is not integrable,
-    unless ``strict=False``.
+    This is :func:`power_weight` at K = 1/2, named "hs".  Raises "divergent
+    log-integral" when log(1 - |phi*|) is not integrable, unless
+    ``strict=False``.
     """
-    return _co_power("hs", co_modulus(phi, grid), 0.5, strict)
+    return _co_power("hs", phi.co_modulus(grid), 0.5, strict)
 
 
 def default_gauge(t):
@@ -122,14 +124,14 @@ def default_gauge(t):
     return np.maximum(2.0, np.log(2.0 + np.log(1.0 / inner)))
 
 
-def power_weight(phi, grid: BoundaryGrid | None = None, exponent=2.0,
+def power_weight(phi: Symbol, grid: BoundaryGrid, exponent=2.0,
                  strict: bool = True) -> Weight:
     """Weight with |w*| = (1 - |phi*|)^K, or gauge form (1-|phi*|)^{g(|phi*|)}.
 
     ``exponent`` is a constant K >= 0 (K = 0 passes the unit weight
     through) or a nondecreasing gauge callable evaluated at the modulus.
     """
-    co = co_modulus(phi, grid)
+    co = phi.co_modulus(grid)
     if callable(exponent):
         expo = np.asarray(exponent(1.0 - co.values), dtype=float)
         if np.any(expo < 1.0):
@@ -154,16 +156,17 @@ def _co_power(name: str, co: BoundarySamples, expo, strict: bool) -> Weight:
 
 @dataclass(frozen=True)
 class CompactifySchedule:
-    """Chosen levels k_n and the reported series sum c_{k_n} log n."""
+    """Chosen levels k_n and the series sum_n c_{k_n} log n, n = 1, 2, ..."""
 
     ks: np.ndarray
-    terms: np.ndarray
-    partial_sums: np.ndarray
-    cauchy: bool
+    series: Series
 
-    @property
-    def total(self) -> float:
-        return float(self.partial_sums[-1]) if len(self.partial_sums) else 0.0
+
+def _step_weight(name: str, levels: LevelSets, log_steps: np.ndarray) -> Weight:
+    """Weight with log|w*| = log_steps[0] + ... + log_steps[k] on level k."""
+    log_modulus = np.cumsum(log_steps)[levels.level_index]
+    return _finish(name, levels.grid, np.exp(log_modulus), log_modulus,
+                   strict=True)
 
 
 def compactify_weight(levels: LevelSets):
@@ -175,10 +178,11 @@ def compactify_weight(levels: LevelSets):
     Returns (weight, schedule).
     """
     c = levels.masses
-    k_available = np.arange(len(c))
     ks, terms = [], []
+    # log|w*| per sample: sum of -log n over schedule entries with k_n <= level
+    log_steps = np.zeros(levels.k_max + 1)
     for n in range(1, COMPACTIFY_TERMS + 1):
-        ok = k_available[(c <= 2.0**-n) & (k_available >= 1)]
+        ok = np.flatnonzero(c[1:] <= 2.0**-n) + 1
         if len(ok) == 0:
             if n == 1:
                 raise WeightError(
@@ -189,36 +193,10 @@ def compactify_weight(levels: LevelSets):
         k_n = int(ok[0])
         ks.append(k_n)
         terms.append(float(c[k_n]) * np.log(n))
-    ks_arr = np.array(ks, dtype=np.int64)
-    terms_arr = np.array(terms)
-    partial = np.cumsum(terms_arr) if len(terms_arr) else np.zeros(0)
-    cauchy = series_verdict(np.arange(1, len(terms_arr) + 1),
-                            terms_arr) == "converging"
-
-    # log|w*| per sample: sum of -log n over schedule entries with k_n <= level
-    log_steps = np.zeros(levels.k_max + 1)
-    for n, k_n in enumerate(ks_arr, start=1):
         log_steps[k_n] -= np.log(n)
-    cumulative = np.cumsum(log_steps)
-    log_modulus = cumulative[levels.level_index]
-    weight = _finish("compactify", levels.grid, np.exp(log_modulus),
-                     log_modulus, strict=True)
-    schedule = CompactifySchedule(ks=ks_arr, terms=terms_arr,
-                                  partial_sums=partial, cauchy=cauchy)
-    return weight, schedule
-
-
-@dataclass(frozen=True)
-class StaircaseSeries:
-    """Reported series sum_k c_k log(1/delta_k) for a staircase weight."""
-
-    terms: np.ndarray
-    partial_sums: np.ndarray
-    cauchy: bool
-
-    @property
-    def total(self) -> float:
-        return float(self.partial_sums[-1])
+    schedule = CompactifySchedule(np.array(ks, dtype=np.int64),
+                                  Series(np.arange(1, len(ks) + 1), terms))
+    return _step_weight("compactify", levels, log_steps), schedule
 
 
 def _monotone_from_tail(delta: np.ndarray) -> np.ndarray:
@@ -252,8 +230,9 @@ def eps_staircase_delta(k_max: int) -> np.ndarray:
 def staircase_weight(levels: LevelSets, delta: Sequence[float]):
     """Weight with log|w*| = sum_k log(delta_k) on F_k; returns (weight, series).
 
-    Requires delta in (0, 1] and the series sum c_k log(1/delta_k)
-    converging over the available range ("divergent staircase" otherwise).
+    Requires delta in (0, 1] and the :class:`Series` sum c_k log(1/delta_k)
+    over the available range to read "converging"; otherwise raises
+    "divergent staircase" with the verdict and its tail exponent.
     """
     d = np.asarray(delta, dtype=float)
     if np.any(d < 0) or np.any(d > 1):
@@ -264,19 +243,14 @@ def staircase_weight(levels: LevelSets, delta: Sequence[float]):
                           "is beyond the float range")
     k_count = min(len(d), levels.k_max)
     c = levels.masses[1 : k_count + 1]
-    terms = c * np.log(1.0 / d[:k_count])
-    partial = np.cumsum(terms)
-    cauchy = series_verdict(np.arange(1, k_count + 1), terms) == "converging"
-    if not cauchy:
-        raise WeightError("divergent staircase")
-    log_delta = np.concatenate([[0.0], np.log(d[:k_count]),
-                                np.zeros(levels.k_max - k_count)])
-    cumulative = np.cumsum(log_delta)
-    log_modulus = cumulative[np.minimum(levels.level_index, levels.k_max)]
-    weight = _finish("staircase", levels.grid, np.exp(log_modulus),
-                     log_modulus, strict=True)
-    return weight, StaircaseSeries(terms=terms, partial_sums=partial,
-                                   cauchy=cauchy)
+    series = Series(np.arange(1, k_count + 1), c * np.log(1.0 / d[:k_count]))
+    if series.verdict != "converging":
+        raise WeightError("divergent staircase: sum c_k log(1/delta_k) reads "
+                          f"{series.verdict!r}, tail exponent "
+                          f"{series.tail_exponent}")
+    log_steps = np.zeros(levels.k_max + 1)
+    log_steps[1 : k_count + 1] = np.log(d[:k_count])
+    return _step_weight("staircase", levels, log_steps), series
 
 
 def lens_decompact_weight(theta: float, grid: BoundaryGrid) -> Weight:

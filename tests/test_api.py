@@ -20,12 +20,9 @@ SETTINGS = [
     "outer.outer_from_modulus(strict)",
     "symbols.Symbol.analytic",
     "symbols.Symbol.log_modulus",
-    "symbols.co_modulus(grid)",
     "symbols.level_sets(k_max)",
     "symbols.level_sets(thresholds)",
-    "weights.hs_weight(grid)",
     "weights.hs_weight(strict)",
-    "weights.power_weight(grid)",
     "weights.power_weight(exponent)",
     "weights.power_weight(strict)",
     "weights.parse_weight(strict)",

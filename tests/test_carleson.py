@@ -14,6 +14,7 @@ from hardylab.carleson import (
     HEAVY_CENTERS,
     MAX_ROOT_CENTERS,
     PullbackMeasure,
+    Series,
     _depth,
     annulus_mass,
     carleson_profile,
@@ -22,7 +23,6 @@ from hardylab.carleson import (
     luecking_sum,
     pullback,
     pullback_graded,
-    series_verdict,
     simp_bound,
     window_mass,
 )
@@ -132,7 +132,9 @@ def _brute_profile(mu, n_lo, n_hi):
     """Reference: per level, the atoms with depth <= h sorted by angle and
     the closed arc masses over the profile's center set, summed directly."""
     two_pi = 2.0 * np.pi
-    heavy = np.sort(mu.angles[np.argsort(mu.masses)[::-1][:HEAVY_CENTERS]])
+    # the heaviest atoms, ties going to the later atom
+    order = np.lexsort((np.arange(mu.size), mu.masses))
+    heavy = np.sort(mu.angles[order[-HEAVY_CENTERS:]])
     rho = []
     for n in range(n_lo, n_hi + 1):
         h = 2.0**-n
@@ -173,6 +175,14 @@ def _profile_measures():
     yield "atom at 0", PullbackMeasure(np.array([0j]), np.array([1.0])), True
     yield "shallow only", disk(0.8 * rng.random(k), t), True
     yield "rounded masses", PullbackMeasure(r * np.exp(1j * t_tied), rng.random(k)), False
+    yield "empty", PullbackMeasure(np.zeros(0, dtype=complex), np.zeros(0)), True
+    # equal masses: by the tie rule the heavy centers are the last 64 atoms,
+    # and only the direction of atom 560, the middle of a deep triple set
+    # between two level-3 roots, catches the whole triple
+    loc = 0.1 * np.exp(1j * t)
+    triple = np.pi / 32 + 0.99 * np.pi / 8 * np.arange(-1, 2)
+    loc[559:562] = 0.99 * np.exp(1j * triple)
+    yield "tied masses", PullbackMeasure(loc, np.full(k, 1 / 1024)), True
 
 
 @pytest.mark.parametrize("name, mu, exact", list(_profile_measures()))
@@ -188,6 +198,8 @@ def test_profile_matches_brute_force(name, mu, exact):
     if name == "shallow only":
         # depth >= 1/5: the levels from 3 on hold no atom
         assert np.all(rep.rho[3:] == 0.0) and rep.rho[2] > 0.0
+    if name == "tied masses":
+        assert rep.rho[3] == 3 / 1024
     if name == "atom at 0":
         # the level-0 window is the whole disk: the atom counts once
         assert rep.rho[0] == 1.0 and np.all(rep.rho[1:] == 0.0)
@@ -215,7 +227,7 @@ def test_luecking_single_atom_origin():
     for p in (0.5, 1.0, 2.0, 4.0):
         rep = luecking_sum(mu, p, 10)
         assert rep.per_level[0] == 1.0
-        assert rep.total == 1.0
+        assert rep.series.total == 1.0
 
 
 def test_luecking_dilation_oracle():
@@ -225,8 +237,8 @@ def test_luecking_dilation_oracle():
     mu = pullback(g.samples(g.points / 2), 1.0)
     for p in (0.5, 1.0, 2.0, 3.0):
         rep = luecking_sum(mu, p, 8)
-        assert abs(rep.total - 2.0) < 1e-12
-        assert rep.per_level[1] == rep.total
+        assert abs(rep.series.total - 2.0) < 1e-12
+        assert rep.per_level[1] == rep.series.total
 
 
 def test_luecking_convexity_per_level():
@@ -236,7 +248,7 @@ def test_luecking_convexity_per_level():
     nu = pullback(phi.trace(g), phi.co_modulus_of_angle(g.signed_angles()))
     for p in (0.5, 1.0, 1.5):
         rep = luecking_sum(nu, p, 11)
-        for n in rep.levels:
+        for n in rep.series.indices:
             level_total = 2.0 ** int(n) * annulus_mass(nu, 2.0 ** -int(n),
                                                        dyadic=True)
             assert rep.per_level[n] >= level_total ** (p / 2.0) - 1e-12
@@ -245,7 +257,7 @@ def test_luecking_convexity_per_level():
 def test_luecking_p_monotone_when_normalized():
     g = make_grid(2**10)
     mu = pullback(g.samples(g.points / 2), 0.5)
-    totals = [luecking_sum(mu, p, 6).total for p in (0.5, 1.0, 2.0, 4.0)]
+    totals = [luecking_sum(mu, p, 6).series.total for p in (0.5, 1.0, 2.0, 4.0)]
     assert np.all(np.diff(totals) <= 1e-12)
 
 
@@ -262,7 +274,7 @@ def test_luecking_memory_follows_atoms_not_boxes():
         tracemalloc.stop()
     expected = np.sqrt(2.0**24 * 3e-3) + np.sqrt(2.0**24 * 4e-3)
     assert abs(rep.per_level[24] - expected) <= 1e-12 * expected
-    assert rep.total == rep.per_level[24]
+    assert rep.series.total == rep.per_level[24]
     assert peak < 2**20
 
 
@@ -285,13 +297,27 @@ def test_luecking_verdicts_on_half():
 def test_series_verdict_closed_forms():
     k = np.arange(1, 41, dtype=float)
     # the harmonic series diverges, however small its last term is
-    assert series_verdict(k, 1.0 / k) != "converging"
-    assert series_verdict(k, 1.0 / k**2) == "converging"
-    assert series_verdict(k, 2.0**-k) == "converging"
-    assert series_verdict(k, k**-0.5) == "diverging"
+    assert Series(k, 1.0 / k).verdict != "converging"
+    assert Series(k, 1.0 / k**2).verdict == "converging"
+    assert Series(k, 2.0**-k).verdict == "converging"
+    assert Series(k, k**-0.5).verdict == "diverging"
     finite = np.zeros(40)
     finite[:3] = (1.0, 0.5, 0.25)
-    assert series_verdict(k, finite) == "converging"
+    assert Series(k, finite).verdict == "converging"
+
+
+def test_series_tail_exponent_is_the_reason():
+    k = np.arange(1, 41, dtype=float)
+    assert abs(Series(k, 1.0 / k**2).tail_exponent - 2.0) <= 1e-9
+    assert abs(Series(k, k**-0.5).tail_exponent - 0.5) <= 1e-9
+    finite = np.zeros(40)
+    finite[:3] = (1.0, 0.5, 0.25)
+    assert Series(k, finite).tail_exponent is None
+    assert Series(k, finite).verdict == "converging"
+    series = Series(k, 1.0 / k**2)
+    assert np.array_equal(series.partial_sums, np.cumsum(1.0 / k**2))
+    with pytest.raises(ValueError):
+        Series(k, -1.0 / k)
 
 
 # ---------------------------------------------------------------- annuli

@@ -14,7 +14,7 @@ from hardylab.grid import (
     taylor_coefficients,
 )
 from hardylab.outer import outer_from_modulus
-from hardylab.symbols import extreme_not_exposed
+from hardylab.symbols import custom_outer, extreme_not_exposed
 from hardylab.weights import hs_weight
 
 
@@ -160,8 +160,9 @@ def test_one_divergence_rule(n):
     lin = t / np.pi
     assert not log_integral(g.samples(lin)).divergent
     assert not outer_from_modulus(g.samples(lin), strict=False).log_divergent
-    # |w*|^2 = 1 - |phi*| = |t|/pi
-    assert not hs_weight(g.samples(1.0 - lin), strict=False).log_divergent
+    # |w*|^2 = 1 - |phi*| = |t|/pi, phi the outer symbol of that table
+    phi = custom_outer(g.signed_angles(), 1.0 - lin)
+    assert not hs_weight(phi, g, strict=False).log_divergent
     cusp = np.exp(-1.0 / t)
     assert log_integral(g.samples(cusp)).divergent
     assert outer_from_modulus(g.samples(cusp), strict=False).log_divergent

@@ -11,6 +11,7 @@ from hardylab.symbols import parse_symbol
 from hardylab.weights import parse_weight, unit_weight
 from hardylab.carleson import PullbackMeasure, pullback_graded
 from hardylab.operators import (
+    SingularSpectrum,
     decay_fit,
     embedding_spectrum,
     hs_norm_boundary,
@@ -86,7 +87,18 @@ def test_dilation_schatten_norm_closed_form():
     sp = singular_values(operator_matrix(w, phi, 64, 64))
     est = schatten_estimate(sp, 1.0)
     assert est.value == pytest.approx(1.0 / (1.0 - C), rel=1e-12)
-    assert est.tail == "stable"
+    assert est.series.verdict == "converging"
+
+
+def test_schatten_estimate_reads_the_series_verdict():
+    # sum n^-0.8 diverges (tail power 0.8 < 1), though the last quartile of
+    # these 64 terms holds under 10% of their sum
+    n = np.arange(1, 65, dtype=float)
+    sp = SingularSpectrum(values=n**-0.8, row_cut=63, col_cut=63, grid_size=256)
+    est = schatten_estimate(sp, 1.0)
+    assert est.value == pytest.approx(np.sum(n**-0.8), rel=1e-12)
+    assert est.series.verdict != "converging"
+    assert est.series.tail_exponent == pytest.approx(0.8, abs=1e-9)
 
 
 def test_decay_fit_dilation_bias_is_pinned():

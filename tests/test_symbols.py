@@ -7,6 +7,7 @@ import pytest
 
 from hardylab.grid import make_grid, log_integral
 from hardylab.symbols import (
+    Symbol,
     beta_exp,
     constant,
     custom_outer,
@@ -307,9 +308,10 @@ def test_level_sets_match_loop_rule(thresholds):
     co[20:30] = 0.0
     co[30:35] = 1.0
     co[35:40] = np.nan
-    modulus = g.samples(1.0 - co)
-    co = 1.0 - modulus.values  # as level_sets reads it
-    ls = level_sets(modulus, g, thresholds=thresholds)
+    # a symbol whose co-modulus on this grid is exactly the crafted samples
+    phi = Symbol(kind="table", label="table", params=(), singular_angles=(),
+                 co=lambda t: co, analytic=lambda z: z)
+    ls = level_sets(phi, g, thresholds=thresholds)
     assert np.isin(ls.thresholds[ls.thresholds >= 2.0**-8], co).all()
     level, masses = _loop_level_sets(co, ls.thresholds)
     assert ls.level_index.dtype == level.dtype

@@ -114,15 +114,15 @@ def test_compactify_constant_symbol_gives_unit():
     ls = level_sets(constant(0.5), GRID, 8)
     w, sched = compactify_weight(ls)
     assert np.all(w.modulus.values == 1.0)
-    assert sched.cauchy
+    assert sched.series.verdict == "converging"
 
 
 def test_compactify_beta_two():
     g = make_grid(2**14)
     ls = level_sets(beta_exp(2.0), g, 12)
     w, sched = compactify_weight(ls)
-    assert sched.cauchy
-    assert sched.total < 1.0
+    assert sched.series.verdict == "converging"
+    assert sched.series.total < 1.0
     # |w*| = 1/n! style products: on F_{k_n} the modulus is at most 1/n
     for n, k_n in enumerate(sched.ks, start=1):
         on_set = ls.mask(int(k_n))
@@ -161,12 +161,22 @@ def test_staircase_modulus_is_cumulative_product():
     ls = level_sets(beta_exp(2.0), GRID, 9)
     delta = stretched_staircase_delta(2.0, 9)
     w, series = staircase_weight(ls, delta)
-    assert series.cauchy
+    assert series.verdict == "converging"
     lev = ls.level_index
     expected = np.concatenate([[1.0], np.cumprod(delta)])
     assert np.allclose(w.modulus.values, expected[np.minimum(lev, 9)],
                        rtol=1e-12)
     _outer_normalization(w)
+
+
+def test_staircase_refuses_a_harmonic_series():
+    # delta_k chosen so that c_k log(1/delta_k) = 1/k: the series diverges
+    ls = level_sets(beta_exp(2.0), GRID, 9)
+    k = np.arange(1, 10)
+    delta = np.exp(-1.0 / (k * ls.masses[1:10]))
+    with pytest.raises(WeightError, match=r"divergent staircase: .* reads "
+                       r"'(diverging|inconclusive)', tail exponent (1\.0|0\.99)"):
+        staircase_weight(ls, delta)
 
 
 def test_staircase_series_matches_quadratic_tail():
