@@ -49,8 +49,9 @@ __all__ = [
 
 # Number of heaviest-atom directions added to the window-center set.
 HEAVY_CENTERS = 64
-# Cap on dyadic root centers per profile level.
-MAX_ROOT_CENTERS = 2**18
+# Deepest Carleson profile level: the entry-root rule's rounding bound
+# (:func:`_entry_roots`) holds down to root spacing pi 2^-50.
+DEEPEST_LEVEL = 49
 
 # Series verdict thresholds on the fitted tail exponent (:class:`Series`);
 # box-counting sums over fewer than MIN_LEVELS levels are inconclusive.
@@ -377,8 +378,39 @@ def _arc_masses(sorted_angles, prefix, lo, hi):
     return prefix[right] - prefix[left]
 
 
+def _entry_roots(ang, h, n_roots):
+    """Roots of a profile level whose window mass can be the level's maximum.
+
+    Root k centers the closed window [c_k - pi h, c_k + pi h], c_k = k s with
+    spacing s = 2 pi / n_roots, and pi h = 2s.  Walk the roots of a level
+    n >= 1 in the order 2, 3, ..., n_roots - 1, 0, 1: :func:`_arc_masses`
+    reads these windows, none of which spans the circle, off one prefix
+    array (roots 0 and 1 off its shifted copy), and along this walk both
+    edge indices are nondecreasing.  A root whose window gains no
+    atom over the root before it holds an index range inside that root's,
+    so its float mass is no larger.  The maximum is therefore reached at
+    root 2, where the walk starts, or where an atom at angle theta enters,
+    at the first root with c_k + pi h >= theta: k = ceil((theta - pi h)/s)
+    mod n_roots.
+
+    Rounding moves that root by at most one.  The root c_k, its window edge,
+    the copy theta + 2 pi, theta - pi h and the quotient by s are rounded
+    once each.  Where s is small enough to matter every one of them lies
+    below 8, so the errors add up to at most 4 * 4.4e-16 + 2 pi 2^-53 =
+    2.5e-15, below s = pi 2^-(n+1) = 2.8e-15 at level DEEPEST_LEVEL = 49.
+    Roots k - 1, k and k + 1 of every atom plus root 2 thus hold the maximum
+    over all roots exactly.  Duplicates are dropped by sort and adjacent
+    difference.
+    """
+    k = np.ceil((ang - np.pi * h) / (TWO_PI / n_roots)).astype(np.int64)
+    roots = np.concatenate([k - 1, k, k + 1, [2]]) & (n_roots - 1)
+    roots.sort()
+    return roots[np.concatenate(([True], roots[1:] != roots[:-1]))]
+
+
 def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonReport:
-    """Profile rho(h) = sup over centers of closed-window mass, h = 2^-n.
+    """Profile rho(h) = sup over centers of closed-window mass, h = 2^-n,
+    for levels n_lo..n_hi within 0..DEEPEST_LEVEL.
 
     The center set per level holds the 2^{n+2} dyadic roots (4x
     oversampling, which also makes the profile provably nonincreasing in
@@ -390,9 +422,17 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     keeps the atoms of the level before it with depth <= h: a boolean filter
     preserves the angle order, so each level costs one O(N) filter and
     prefix sum and no sort.  Once no atom is left the remaining levels are 0.
+
+    Entry roots: over the roots the window mass is piecewise constant and
+    rises only where an atom enters the window, at its angle minus pi h, so
+    its maximum is reached at the first root at or after some atom's entry
+    (:func:`_entry_roots`).  A level that keeps K atoms with 3K + 1 < 2^{n+2}
+    evaluates only those roots and their neighbors, at most 3K + 1, in
+    O(K log K); no array of 2^{n+2} roots is built.  Denser levels evaluate
+    every root.
     """
-    if not 0 <= n_lo < n_hi:
-        raise ValueError("need 0 <= n_lo < n_hi")
+    if not 0 <= n_lo < n_hi <= DEEPEST_LEVEL:
+        raise ValueError(f"need 0 <= n_lo < n_hi <= {DEEPEST_LEVEL}")
     order = np.argsort(mu.angles, kind="stable")
     ang = mu.angles[order]
     depth = _depth(mu)[order]
@@ -413,9 +453,10 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
             break
         a_ext = np.concatenate([ang, ang + TWO_PI])
         prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([mas, mas]))])
-        n_roots = min(1 << (n + 2), MAX_ROOT_CENTERS)
-        centers = np.concatenate([TWO_PI * np.arange(n_roots) / n_roots,
-                                  heavy])
+        n_roots = 1 << (n + 2)
+        roots = (_entry_roots(ang, h, n_roots) if 3 * ang.size + 1 < n_roots
+                 else np.arange(n_roots))
+        centers = np.concatenate([TWO_PI * roots / n_roots, heavy])
         masses = _arc_masses(a_ext, prefix, centers - np.pi * h,
                              centers + np.pi * h)
         rho[i] = float(masses.max())

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +61,32 @@ def hilbert_transform(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n)
 
 
+def _taylor_series(blocks: np.ndarray, z):
+    """The power series with coefficients ``blocks.ravel()`` at |z| < 1,
+    by Horner's rule in z^B over the Q rows of B coefficients."""
+    zz = np.asarray(z, dtype=complex)
+    if np.any(np.abs(zz) >= 1.0):
+        raise ValueError("Herglotz evaluation requires |z| < 1")
+    b = blocks.shape[1]
+    flat = zz.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    # B points at a time, so no temporary outgrows the coefficients
+    for i in range(0, flat.size, b):
+        p = flat[i : i + b, None]
+        powers = np.cumprod(np.broadcast_to(p, (p.size, b)), axis=1)
+        sums = blocks[:, 0] + powers[:, :-1] @ blocks[:, 1:].T
+        acc = sums[:, -1]
+        for q in range(blocks.shape[0] - 2, -1, -1):
+            acc = acc * powers[:, -1] + sums[:, q]
+        out[i : i + b] = acc
+    return out.reshape(zz.shape) if zz.shape else out[0]
+
+
+def _refuse_interior(z):
+    raise NotLogIntegrableError(
+        "no interior values: the log-modulus is not integrable")
+
+
 @dataclass(frozen=True)
 class HerglotzFunction:
     """Analytic map U with Re U* = data, built from real boundary samples.
@@ -84,23 +111,7 @@ class HerglotzFunction:
         return c.reshape(-1, 1 << (n.bit_length() - 1) // 2)
 
     def __call__(self, z):
-        zz = np.asarray(z, dtype=complex)
-        if np.any(np.abs(zz) >= 1.0):
-            raise ValueError("Herglotz evaluation requires |z| < 1")
-        blocks = self._blocks
-        b = blocks.shape[1]
-        flat = zz.ravel()
-        out = np.empty(flat.shape, dtype=complex)
-        # B points at a time, so no temporary outgrows the coefficients
-        for i in range(0, flat.size, b):
-            p = flat[i : i + b, None]
-            powers = np.cumprod(np.broadcast_to(p, (p.size, b)), axis=1)
-            sums = blocks[:, 0] + powers[:, :-1] @ blocks[:, 1:].T
-            acc = sums[:, -1]
-            for q in range(blocks.shape[0] - 2, -1, -1):
-                acc = acc * powers[:, -1] + sums[:, q]
-            out[i : i + b] = acc
-        return out.reshape(zz.shape) if zz.shape else out[0]
+        return _taylor_series(self._blocks, z)
 
     def boundary(self) -> BoundarySamples:
         return self.grid.samples(self.data + 1j * hilbert_transform(self.data))
@@ -129,11 +140,17 @@ class OuterFunction:
     def _herglotz(self) -> HerglotzFunction:
         return HerglotzFunction(self.grid, self.log_modulus)
 
-    def __call__(self, z):
+    def interior(self) -> Callable:
+        """The evaluator z -> exp(U(z)).  It holds the N/2 Taylor
+        coefficients of U and neither the grid nor the samples, and it
+        refuses every call when the log-modulus is not integrable."""
         if self.log_divergent:
-            raise NotLogIntegrableError(
-                "no interior values: the log-modulus is not integrable")
-        return np.exp(self._herglotz(z))
+            return _refuse_interior
+        blocks = self._herglotz._blocks
+        return lambda z: np.exp(_taylor_series(blocks, z))
+
+    def __call__(self, z):
+        return self.interior()(z)
 
     def boundary_modulus(self) -> BoundarySamples:
         return self.grid.samples(np.exp(self.log_modulus))

@@ -65,6 +65,9 @@ class Symbol:
     and at e^{it} on the circle, and ``log_modulus(t)``, whose outer
     function (:class:`hardylab.outer.OuterFunction`) gives the trace on a
     grid and the interior values on a reference grid chosen from the radius.
+    The interior evaluator of each reference size is built on first use and
+    kept: its N/2 Taylor coefficients, or its refusal when the log-modulus
+    is not integrable.
     """
 
     kind: str
@@ -79,6 +82,8 @@ class Symbol:
         if (self.analytic is None) == (self.log_modulus is None):
             raise ValueError("a Symbol needs exactly one of analytic and "
                              "log_modulus")
+        # interior evaluators of an outer-type symbol, by reference size
+        object.__setattr__(self, "_interior", {})
 
     def modulus_of_angle(self, t):
         """|phi*(e^{it})| for signed angles t in (-pi, pi]."""
@@ -113,8 +118,12 @@ class Symbol:
         z = np.asarray(z, dtype=complex)
         if self.analytic is not None:
             return self.analytic(z)
-        grid = make_grid(_reference_size(float(np.max(np.abs(z), initial=0.0))))
-        return OuterFunction(grid, self.log_modulus(grid.signed_angles()))(z)
+        n = _reference_size(float(np.max(np.abs(z), initial=0.0)))
+        if n not in self._interior:
+            grid = make_grid(n)
+            outer = OuterFunction(grid, self.log_modulus(grid.signed_angles()))
+            self._interior[n] = outer.interior()
+        return self._interior[n](z)
 
     def __repr__(self):
         return f"Symbol({self.label})"

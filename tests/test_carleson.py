@@ -1,5 +1,6 @@
 """Pull-back measures, windows, boxes, profiles, box-counting sums."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -7,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardylab import carleson
 from hardylab.grid import make_grid
 from hardylab.symbols import beta_exp, half, hs_extremal, lens
 from hardylab.weights import lens_decompact_weight
 from hardylab.carleson import (
+    DEEPEST_LEVEL,
     HEAVY_CENTERS,
-    MAX_ROOT_CENTERS,
     PullbackMeasure,
     Series,
     _depth,
@@ -128,20 +130,24 @@ def test_profile_monotone():
     assert np.all(np.diff(rep.rho) <= 1e-15)
 
 
+def _heavy_angles(mu):
+    """The profile's heavy centers: the heaviest atoms, ties to the later."""
+    order = np.lexsort((np.arange(mu.size), mu.masses))
+    return np.sort(mu.angles[order[-HEAVY_CENTERS:]])
+
+
 def _brute_profile(mu, n_lo, n_hi):
     """Reference: per level, the atoms with depth <= h sorted by angle and
     the closed arc masses over the profile's center set, summed directly."""
     two_pi = 2.0 * np.pi
-    # the heaviest atoms, ties going to the later atom
-    order = np.lexsort((np.arange(mu.size), mu.masses))
-    heavy = np.sort(mu.angles[order[-HEAVY_CENTERS:]])
+    heavy = _heavy_angles(mu)
     rho = []
     for n in range(n_lo, n_hi + 1):
         h = 2.0**-n
         sel = _depth(mu) <= h
         order = np.argsort(mu.angles[sel])
         a, m = mu.angles[sel][order], mu.masses[sel][order]
-        n_roots = min(1 << (n + 2), MAX_ROOT_CENTERS)
+        n_roots = 1 << (n + 2)
         centers = np.concatenate([two_pi * np.arange(n_roots) / n_roots, heavy])
         best = 0.0
         for c in centers:
@@ -203,6 +209,145 @@ def test_profile_matches_brute_force(name, mu, exact):
     if name == "atom at 0":
         # the level-0 window is the whole disk: the atom counts once
         assert rep.rho[0] == 1.0 and np.all(rep.rho[1:] == 0.0)
+
+
+def _every_root_profile(mu, n_lo, n_hi, chunk=1 << 16):
+    """Reference: per level, the arc masses of ``carleson._arc_masses`` on
+    all 2^{n+2} roots, in chunks, and on the heavy centers."""
+    two_pi = 2.0 * np.pi
+    heavy = _heavy_angles(mu)
+    rho = []
+    for n in range(n_lo, n_hi + 1):
+        h = 2.0**-n
+        sel = _depth(mu) <= h
+        order = np.argsort(mu.angles[sel], kind="stable")
+        a, m = mu.angles[sel][order], mu.masses[sel][order]
+        a_ext = np.concatenate([a, a + two_pi])
+        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))])
+        n_roots = 1 << (n + 2)
+        roots = (two_pi * np.arange(start, min(start + chunk, n_roots)) / n_roots
+                 for start in range(0, n_roots, chunk))
+        rho.append(max(carleson._arc_masses(a_ext, prefix, c - np.pi * h,
+                                            c + np.pi * h).max(initial=0.0)
+                       for c in itertools.chain([heavy], roots)))
+    return np.array(rho)
+
+
+def _sparse_measure(k=300, deepest=22):
+    """Atoms with depths spread over levels 0..deepest, random masses."""
+    rng = np.random.default_rng(11)
+    depth = 2.0 ** -rng.uniform(0, deepest, k)
+    t = 2 * np.pi * rng.random(k)
+    return PullbackMeasure((1 - depth) * np.exp(1j * t), rng.random(k))
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+def test_entry_roots_match_every_root_on_lens_measures(theta):
+    mu = pullback_graded(lens(theta), per_octave=8)
+    assert np.array_equal(carleson_profile(mu, 1, 16).rho,
+                          _every_root_profile(mu, 1, 16))
+
+
+def test_entry_roots_match_every_root_on_a_sparse_measure():
+    mu = _sparse_measure()
+    rho = carleson_profile(mu, 1, 20).rho
+    assert np.array_equal(rho, _every_root_profile(mu, 1, 20))
+    assert rho[-1] > 0.0
+
+
+def test_entry_root_neighbors_cover_rounding_at_every_level():
+    # atoms a few ulp around the float window edge c_k + pi h of roots at
+    # both ends of the circle and in between: within +-8 roots of the
+    # computed entry k (+-2^n at levels 1 and 2, whose windows span a
+    # quarter and a half of the roots), the window first holds the atom at
+    # one of the roots that ``_entry_roots`` returns
+    rng = np.random.default_rng(5)
+    two_pi = 2.0 * np.pi
+    for n in range(1, DEEPEST_LEVEL + 1):
+        h, n_roots = 2.0**-n, 1 << (n + 2)
+        width = min(8, 1 << n)
+        ks = np.concatenate([[0, 1, 2, 3, n_roots - 3, n_roots - 2, n_roots - 1],
+                             rng.integers(0, n_roots, 8, dtype=np.int64)])
+        edge = (two_pi * ks / n_roots + np.pi * h) % two_pi
+        atoms = [0.0, np.nextafter(0.0, 1.0), np.nextafter(two_pi, 0.0), two_pi]
+        for e in edge:
+            for step in range(-3, 4):
+                a = e
+                for _ in range(abs(step)):
+                    a = np.nextafter(a, np.sign(step) * np.inf)
+                atoms.append(a % two_pi)
+        for a in atoms:
+            k = int(np.ceil((a - np.pi * h) / (two_pi / n_roots)))
+            near = (k + np.arange(-width, width + 1)) & (n_roots - 1)
+            c = two_pi * near / n_roots
+            inside = carleson._arc_masses(np.array([a, a + two_pi]),
+                                          np.array([0.0, 1.0, 2.0]),
+                                          c - np.pi * h, c + np.pi * h) > 0
+            entries = near[1:][inside[1:] & ~inside[:-1]]
+            assert entries.size == 1, (n, a)
+            assert entries[0] in carleson._entry_roots(np.array([a]), h, n_roots)
+
+
+def test_entry_roots_keep_root_two():
+    # a cluster of three atoms inside (0, 2s), s the level-10 root spacing,
+    # and unit atoms spread away from it: roots 0 and 1 read the cluster off
+    # the shifted prefix copy and round it below root 2's sum, and no atom
+    # enters at root 2, so only the walk's start holds the maximum
+    n = 10
+    s = 2 * np.pi / 2 ** (n + 2)
+    spread = 2 * np.pi * (np.arange(1000) + 0.5) / 1000
+    spread = spread[(spread > 5 * s) & (spread < 2 * np.pi - 3 * s)]
+    angles = np.concatenate([np.array([0.2, 0.5, 0.9]) * s, spread])
+    masses = np.concatenate([[1.1, 1.3, 1.3], np.ones(spread.size)])
+    mu = PullbackMeasure(np.exp(1j * angles), masses)
+    a_ext = np.concatenate([angles, angles + 2 * np.pi])
+    prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([masses, masses]))])
+    c = 2 * np.pi * np.arange(2 ** (n + 2)) / 2 ** (n + 2)
+    per_root = carleson._arc_masses(a_ext, prefix, c - np.pi * 2.0**-n,
+                                    c + np.pi * 2.0**-n)
+    assert np.flatnonzero(per_root == per_root.max()).tolist() == [2]
+    rho = carleson_profile(mu, n - 1, n).rho[-1]
+    assert rho == per_root[2] == _every_root_profile(mu, n, n)[0]
+
+
+def test_entry_roots_bound_the_centers_searched(monkeypatch):
+    mu = _sparse_measure()
+    searched = []
+    arc = carleson._arc_masses
+
+    def record(sorted_angles, prefix, lo, hi):
+        searched.append((sorted_angles.size // 2, lo.size))
+        return arc(sorted_angles, prefix, lo, hi)
+
+    monkeypatch.setattr(carleson, "_arc_masses", record)
+    carleson_profile(mu, 0, 20)
+    assert len(searched) == 21
+    for n, (kept, centers) in enumerate(searched):
+        assert kept == np.sum(_depth(mu) <= 2.0**-n)
+        if kept < 1 << (n + 2):
+            # three roots per atom, root 2 where the walk starts, heavy
+            assert centers <= 3 * kept + 1 + HEAVY_CENTERS
+
+
+def test_profile_refuses_levels_beyond_the_deepest():
+    mu = _sparse_measure()
+    assert carleson_profile(mu, 0, DEEPEST_LEVEL).rho.size == DEEPEST_LEVEL + 1
+    with pytest.raises(ValueError):
+        carleson_profile(mu, 0, DEEPEST_LEVEL + 1)
+
+
+def test_profile_sees_a_pair_between_level_18_roots():
+    # two half-mass atoms at depth 2^-19, 0.1 pi 2^-18 either side of the
+    # point e halfway between two of the 2^18 level-16 roots: the level-18
+    # and level-19 windows that hold both are centered on their own finer
+    # roots; 64 heavier shallow atoms take every heavy center away
+    e = 2 * np.pi * 12345 / 2**18 + np.pi * 2.0**-18
+    pair = (1 - 2.0**-19) * np.exp(1j * (e + np.array([-1, 1]) * 0.1 * np.pi * 2.0**-18))
+    shallow = 0.05 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    mu = PullbackMeasure(np.concatenate([pair, shallow]),
+                         np.concatenate([[0.5, 0.5], np.ones(64)]))
+    rep = carleson_profile(mu, 16, 19)
+    assert np.array_equal(rep.rho, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_profile_lens_decompact_not_vanishing():

@@ -180,6 +180,50 @@ def test_outer_symbol_refuses_radius_beyond_reference_grid(make):
         phi(1.0)
 
 
+def _counting(log_modulus):
+    calls = []
+
+    def counted(t):
+        calls.append(np.size(t))
+        return log_modulus(t)
+
+    return counted, calls
+
+
+def test_outer_symbol_keeps_its_interior_per_reference_size():
+    import dataclasses
+
+    from hardylab.outer import OuterFunction
+
+    counted, calls = _counting(beta_exp(0.5).log_modulus)
+    phi = dataclasses.replace(beta_exp(0.5), log_modulus=counted)
+    z = 0.9 * np.exp(1j * np.linspace(0, 6, 7))
+    first = phi(z)
+    assert len(calls) == 1
+    assert np.array_equal(phi(z), first)
+    phi(0.5)  # the same reference size (REFERENCE_MIN) as radius 0.9
+    assert len(calls) == 1
+    phi(0.999)  # a larger reference size is built once
+    phi(0.999j)
+    assert calls == [4096, 32768]
+    # what is kept evaluates as a fresh outer function does
+    g = make_grid(4096)
+    fresh = OuterFunction(g, beta_exp(0.5).log_modulus(g.signed_angles()))(z)
+    assert np.array_equal(first, fresh)
+
+
+def test_outer_symbol_keeps_its_refusal():
+    from hardylab.outer import NotLogIntegrableError
+
+    counted, calls = _counting(lambda t: -1.0 / np.abs(t))
+    phi = Symbol("custom", "divergent", (), (0.0,),
+                 co=lambda t: -np.expm1(-1.0 / np.abs(t)), log_modulus=counted)
+    for _ in range(2):
+        with pytest.raises(NotLogIntegrableError):
+            phi(0.5)
+    assert len(calls) == 1
+
+
 # ------------------------------------------------- extreme / hs-extremal
 
 def test_extreme_modulus_values():
