@@ -73,11 +73,12 @@ class PullbackMeasure:
         mas = np.asarray(self.masses, dtype=float).ravel()
         if loc.shape != mas.shape:
             raise ValueError("locations and masses must have equal length")
-        if np.any(mas < 0):
-            raise ValueError("masses must be nonnegative")
+        # all(x >= 0) rather than any(x < 0), so that a NaN fails the checks
+        if not np.all(mas >= 0):
+            raise ValueError("masses must be nonnegative, not NaN")
         r = np.abs(loc)
-        if np.any(r > 1.0 + 1e-9):
-            raise ValueError("atom locations must satisfy |z| <= 1")
+        if not np.all(r <= 1.0 + 1e-9):
+            raise ValueError("atom locations must satisfy |z| <= 1, not NaN")
         # points meant to sit on the circle arrive with |z| = 1 +- ulp;
         # snap them so the boundary-atom conventions see them as such
         boundary = np.flatnonzero(r > 1.0 - 4e-16)
@@ -119,8 +120,8 @@ def pullback(phi_trace: BoundarySamples, density) -> PullbackMeasure:
             dv = np.full(phi_trace.grid.size, float(dv))
     if dv.shape != (phi_trace.grid.size,):
         raise ValueError("density must match the trace grid")
-    if np.any(dv < 0):
-        raise ValueError("density must be nonnegative")
+    if not np.all(dv >= 0):
+        raise ValueError("density must be nonnegative, not NaN")
     return PullbackMeasure(phi_trace.values, dv / phi_trace.grid.size)
 
 
@@ -176,8 +177,8 @@ def pullback_graded(
     locations = phi.trace_of_angle(signed)
     if density_fn is not None:
         dens = np.asarray(density_fn(signed), dtype=float)
-        if np.any(dens < 0):
-            raise ValueError("density must be nonnegative")
+        if not np.all(dens >= 0):
+            raise ValueError("density must be nonnegative, not NaN")
         weights = weights * dens
     return PullbackMeasure(locations, weights)
 

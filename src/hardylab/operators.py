@@ -7,8 +7,11 @@ Two routes to the singular values:
   Toeplitz operator T_phi (Cowen-MacCluer): column n+1 is T_phi applied to
   column n, starting from the coefficients of w.  Built from the first R
   Taylor coefficients of the (analytic) traces of w and phi, independent
-  of N, and stable since ||T_phi|| <= ||phi||_inf <= 1.  Doubly
-  truncated; every experiment stamps it with a truncation study.
+  of N, and stable since ||T_phi|| <= ||phi||_inf <= 1.  The columns come
+  in blocks of B ~ sqrt(R): each block is the R x R Toeplitz matrix of
+  phi^B times the block before it, one matrix product instead of B
+  matrix-vector products.  Doubly truncated; every experiment stamps it
+  with a truncation study.
 * ``embedding_spectrum``: the weighted composition operator has the same
   singular numbers as the embedding of H^2 into L^2 of the pull-back
   measure, whose Gram matrix against an atomic measure is the closed-form
@@ -67,6 +70,9 @@ FIT_MAX_RESIDUAL = 0.5
 # cuts marks the index as not yet converged.
 STUDY_TOL = 0.01
 
+# column_pnorms: grid points per block of its moment products.
+PNORM_CHUNK = 4096
+
 # Gram-route guard.
 KERNEL_RELATIVE_FLOOR = 2e-8
 
@@ -100,10 +106,13 @@ class SingularSpectrum:
 
 
 def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
-    """First ``rows`` Taylor coefficients; refuses a non-analytic trace."""
+    """First ``rows`` Taylor coefficients; refuses a non-finite or
+    non-analytic trace."""
     spectrum = np.fft.fft(trace.values)
     negative = spectrum[trace.grid.size // 2 + 1:]
     total = np.vdot(spectrum, spectrum).real
+    if not np.isfinite(total):
+        raise GridError(f"{name} trace has non-finite samples")
     share = np.vdot(negative, negative).real / total if total > 0 else 0.0
     if share > ANALYTIC_NEGATIVE_SHARE:
         raise GridError(
@@ -111,6 +120,16 @@ def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
             f"negative frequencies (limit {ANALYTIC_NEGATIVE_SHARE:g})"
         )
     return coefficients_from_fft(spectrum, rows - 1, trace.grid.size)
+
+
+def _block_size(count: int) -> int:
+    """Largest power of two at most sqrt(count): B powers per block."""
+    return 1 << (count.bit_length() - 1) // 2
+
+
+def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
+    k = np.arange(column.size)
+    return np.tril(column[k[:, None] - k])
 
 
 def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
@@ -122,26 +141,46 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
     the R x R lower-triangular Toeplitz matrix of phi[:R].  This is exact
     for the truncation (the first R coefficients of a product depend only
     on the first R of each factor), and stable: T is a compression of
-    T_phi, so ||T|| <= ||phi||_inf <= 1.  Cost after one FFT per trace:
-    O(col_cut R^2), independent of N.
+    T_phi, so ||T|| <= ||phi||_inf <= 1.
 
-    Both traces must be analytic: one with more than 1% of its energy at
-    negative frequencies (e.g. the flat-phase trace of a log-divergent
-    weight) raises GridError.  Cuts at or beyond N/4 are rejected; the
-    guard keeps the coefficients of w and phi clear of aliasing.
+    The recursion runs by blocks of B = 2^floor(log2(R)/2) columns.
+    Columns 1..B-1 and T^B e_0 take B-1 matrix-vector products each;
+    every further block is one matrix product, col_{s..s+B-1} = T^B
+    col_{s-B..s-1}.  Products of truncated lower-triangular Toeplitz
+    matrices are the truncations of the product series, so T^B is the
+    lower-triangular Toeplitz matrix of the first R coefficients of phi^B,
+    the compression of T_{phi^B}, and ||T^B|| <= ||phi||_inf^B <= 1 keeps
+    the blocks as stable as the single steps.  Cost after one FFT per
+    trace: O(col_cut R^2) flops, nearly all in level-3 BLAS, independent
+    of N.
+
+    Both traces must be finite and analytic: one with more than 1% of its
+    energy at negative frequencies (e.g. the flat-phase trace of a
+    log-divergent weight) raises GridError, as does a NaN or infinite
+    sample.  Cuts at or beyond N/4 are rejected; the guard keeps the
+    coefficients of w and phi clear of aliasing.
     """
     if wtrace.grid is not phitrace.grid and wtrace.grid.size != phitrace.grid.size:
         raise GridError("traces must share a grid")
     n = wtrace.grid.size
     if row_cut >= n // 4 or col_cut >= n // 4:
         raise GridError(f"cuts must stay below N/4 = {n // 4}")
-    k = np.arange(row_cut + 1)
-    phi = _analytic_head(phitrace, row_cut + 1, "symbol")
-    toeplitz = np.tril(phi[k[:, None] - k])
-    entries = np.empty((row_cut + 1, col_cut + 1), dtype=complex)
-    entries[:, 0] = _analytic_head(wtrace, row_cut + 1, "weight")
-    for col in range(col_cut):
+    rows, cols = row_cut + 1, col_cut + 1
+    phi = _analytic_head(phitrace, rows, "symbol")
+    toeplitz = _lower_toeplitz(phi)
+    entries = np.empty((rows, cols), dtype=complex)
+    entries[:, 0] = _analytic_head(wtrace, rows, "weight")
+    b = _block_size(rows)
+    for col in range(min(b, cols) - 1):
         entries[:, col + 1] = toeplitz @ entries[:, col]
+    if cols > b:
+        power = phi  # T^k e_0, the first R coefficients of phi^k
+        for _ in range(b - 1):
+            power = toeplitz @ power
+        block = _lower_toeplitz(power)
+        for start in range(b, cols, b):
+            stop = min(start + b, cols)
+            entries[:, start:stop] = block @ entries[:, start - b:stop - b]
     return OperatorMatrix(entries=entries, row_cut=row_cut, col_cut=col_cut,
                           grid_size=n)
 
@@ -246,7 +285,8 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
 
     ``phi_co`` (samples of 1 - |phi*|) avoids cancellation for symbols
     hugging the circle; dividing by base**alpha (not multiplying by
-    base**-alpha) keeps subnormal bases finite.  Divergence is a return state.
+    base**-alpha) keeps subnormal bases finite.  Divergence is a return
+    state; a NaN sample of the weight or the base raises ValueError.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -254,9 +294,14 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
     base = _one_minus_mod_sq(phitrace, phi_co)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(base > 0.0, dens / base**alpha, np.inf)
-    if np.any(~np.isfinite(integrand) & (dens > 0.0)):
-        return IntegralResult(float("inf"), True)
-    integrand = np.where(np.isfinite(integrand), integrand, 0.0)
+    bad = ~np.isfinite(integrand)
+    if np.any(bad):
+        if np.any(np.isnan(dens[bad]) | np.isnan(base[bad])):
+            raise ValueError("moment integral of a weight or symbol trace "
+                             "with NaN samples")
+        if np.any(dens[bad] > 0.0):
+            return IntegralResult(float("inf"), True)
+        integrand[bad] = 0.0
     return refined_mean(integrand)
 
 
@@ -293,18 +338,34 @@ class ColumnNorms:
 
 def column_pnorms(wtrace: BoundarySamples, phitrace: BoundarySamples,
                   p: float, n_max: int) -> ColumnNorms:
-    """Norms ||w (phi*)^n||_p = (quadrature |w*|^p |phi*|^{pn})^{1/p}."""
+    """Norms ||w (phi*)^n||_p = (quadrature |w*|^p |phi*|^{pn})^{1/p}.
+
+    The moments M_n = mean(a x^n), a = |w*|^p and x = |phi*|^p, come by
+    blocks of B = 2^floor(log2(n_max+1)/2) powers: over each chunk of
+    PNORM_CHUNK grid points, the rows a x^{qB} (q = 0, 1, ...) times the
+    rows x^s (s < B) sum a x^{qB+s} in one matrix product.  No temporary
+    grows with N.
+    """
     if p < 1:
         raise ValueError("Hardy exponent must be >= 1")
-    wp = np.abs(np.asarray(wtrace.values)) ** p
-    phip = np.abs(np.asarray(phitrace.values)) ** p
-    norms = np.empty(n_max + 1)
-    g = wp.copy()
-    for n in range(n_max + 1):
-        norms[n] = float(np.mean(g)) ** (1.0 / p)
-        if n < n_max:
-            g *= phip
-    return ColumnNorms(p=p, norms=norms)
+    w = np.asarray(wtrace.values)
+    phi = np.asarray(phitrace.values)
+    b = _block_size(n_max + 1)
+    q = -(-(n_max + 1) // b)
+    sums = np.zeros((q, b))
+    for i in range(0, w.size, PNORM_CHUNK):
+        x = np.abs(phi[i:i + PNORM_CHUNK]) ** p
+        low = np.empty((b + 1, x.size))  # x^0 .. x^B
+        low[0] = 1.0
+        for s in range(b):
+            np.multiply(low[s], x, out=low[s + 1])
+        high = np.empty((q, x.size))  # a x^{qB}
+        high[0] = np.abs(w[i:i + PNORM_CHUNK]) ** p
+        for r in range(1, q):
+            np.multiply(high[r - 1], low[b], out=high[r])
+        sums += high @ low[:b].T
+    moments = sums.ravel()[:n_max + 1] / w.size
+    return ColumnNorms(p=p, norms=moments ** (1.0 / p))
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,36 @@ def test_pullback_rejects_negative_density():
         pullback(g.samples(g.points), np.full(64, -1.0))
 
 
+@pytest.mark.parametrize("locations,masses,match", [
+    ([0.5, 0.2j, np.nan], [0.1, np.nan, 0.3], "masses"),
+    ([0.5, 0.2j, 0.1], [0.1, np.nan, 0.3], "masses"),
+    ([0.5, 0.2j, np.nan], [0.1, 0.2, 0.3], "locations"),
+    ([0.5, complex(np.nan, 0.1), 0.1], [0.1, 0.2, 0.3], "locations"),
+    ([0.5, np.inf, 0.1], [0.1, 0.2, 0.3], "locations"),
+])
+def test_measure_refuses_nan_atoms(locations, masses, match):
+    # a NaN atom used to be accepted: total mass nan, an empty kernel
+    # spectrum and a profile that read the other atoms only
+    with pytest.raises(ValueError, match=match):
+        PullbackMeasure(locations, masses)
+
+
+def test_pullback_refuses_nan_density():
+    g = make_grid(64)
+    density = np.ones(64)
+    density[5] = np.nan
+    with pytest.raises(ValueError, match="density"):
+        pullback(g.samples(0.5 * g.points), density)
+
+
+def test_pullback_graded_refuses_nan_density():
+    def density(t):
+        return np.where(np.arange(t.size) == 3, np.nan, 1.0)
+
+    with pytest.raises(ValueError, match="density"):
+        pullback_graded(lens(0.5), density_fn=density, octaves=8, per_octave=4)
+
+
 def test_graded_boundary_mass_exact():
     angles, weights = graded_boundary((0.0,), octaves=20, per_octave=8)
     assert abs(weights.sum() - 1.0) < 1e-14

@@ -12,6 +12,7 @@ from hardylab.weights import parse_weight, unit_weight
 from hardylab.carleson import PullbackMeasure, pullback_graded
 from hardylab.operators import (
     SingularSpectrum,
+    column_pnorms,
     decay_fit,
     embedding_spectrum,
     hs_norm_boundary,
@@ -149,6 +150,111 @@ def test_cut_just_below_quarter_guard():
     assert np.allclose(s[:40], C ** np.arange(40), rtol=1e-10)
     with pytest.raises(GridError):
         operator_matrix(w, phi, 256, 10)
+
+
+def _krylov_reference(head_w, head_phi, col_cut):
+    """Column n+1 = the first R coefficients of phi times column n, term by
+    term: entry m is sum_{k <= m} phi_{m-k} col_n[k]."""
+    rows = head_w.size
+    out = np.empty((rows, col_cut + 1), dtype=complex)
+    out[:, 0] = head_w
+    for n in range(col_cut):
+        out[:, n + 1] = np.convolve(head_phi, out[:, n])[:rows]
+    return out
+
+
+# R = row_cut + 1 rows take blocks of B = 8 columns at R = 101 and 129 and
+# of B = 16 at R = 257: cuts below, at and past one block, cuts that end
+# inside a block, and row cuts on either side of the column cut
+@pytest.mark.parametrize("row_cut,col_cut", [(128, 0), (128, 5), (128, 8), (128, 67),
+                                             (128, 128), (100, 200), (256, 37),
+                                             (256, 300)])
+def test_block_recursion_matches_krylov_reference(row_cut, col_cut):
+    g = make_grid(1 << 11)
+    phi = parse_symbol("lens:0.5")
+    p = g.samples(np.exp(0.7j) * phi.trace(g).values)
+    w = parse_weight("hs", phi, g).trace
+    # the library's own coefficient heads, so only the recursion is compared:
+    # column 1 of the unit weight's matrix is T e_0 = phi[:R]
+    head_w = operator_matrix(w, p, row_cut, 0).entries[:, 0]
+    head_phi = operator_matrix(unit_weight(g).trace, p, row_cut, 1).entries[:, 1]
+    ref = _krylov_reference(head_w, head_phi, col_cut)
+    a = operator_matrix(w, p, row_cut, col_cut).entries
+    assert a.shape == ref.shape
+    assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_refuses_nan_trace():
+    # a NaN sample used to give NaN entries, an SVD that did not converge
+    # and a moment integral that read the NaN as divergence
+    g = make_grid(1 << 10)
+    w = unit_weight(g).trace
+    values = 0.5 * g.points.copy()
+    values[17] = np.nan
+    bad = g.samples(values)
+    with pytest.raises(GridError, match="symbol trace has non-finite samples"):
+        operator_matrix(w, bad, 16, 16)
+    with pytest.raises(GridError, match="weight trace has non-finite samples"):
+        operator_matrix(bad, g.samples(0.5 * g.points), 16, 16)
+    with pytest.raises(ValueError, match="NaN"):
+        moment_integral(w, bad, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        moment_integral(bad, g.samples(0.5 * g.points), 1.0)
+    co = np.full(g.size, 0.5)
+    co[3] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        hs_norm_boundary(w, g.samples(0.5 * g.points), phi_co=co)
+
+
+# ---------------------------------------------------------------- column norms
+
+def _pnorms_reference(wtrace, phitrace, p, n_max):
+    a = np.abs(wtrace.values) ** p
+    x = np.abs(phitrace.values) ** p
+    return np.array([np.mean(a * x**n) ** (1.0 / p) for n in range(n_max + 1)])
+
+
+# n_max + 1 moments come in rows of B = 2^floor(log2(n_max + 1)/2): 16 and
+# 256 fill whole rows (B = 4, 16), 15, 17, 257 and 301 leave a partial row
+@pytest.mark.parametrize("n_max", [0, 1, 3, 4, 5, 14, 15, 16, 255, 256, 300])
+@pytest.mark.parametrize("size", [1 << 9, 1 << 14])
+def test_column_norms_of_dilation(n_max, size):
+    w, phi = _dilation_traces(size)
+    norms = column_pnorms(w, phi, 2.0, n_max).norms
+    assert norms.shape == (n_max + 1,)
+    assert np.allclose(norms, C ** np.arange(n_max + 1), rtol=1e-13, atol=0)
+
+
+def test_column_norms_of_half_are_central_binomials():
+    g = make_grid(1 << 12)
+    cols = column_pnorms(unit_weight(g).trace, parse_symbol("half").trace(g), 2.0, 200)
+    exact = [comb(2 * n, n) / 4**n for n in range(201)]
+    assert np.allclose(cols.norms**2, exact, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_column_norms_match_loop_reference(p):
+    g = make_grid(1 << 14)
+    phi = parse_symbol("lens:0.5")
+    w, trace = parse_weight("hs", phi, g).trace, phi.trace(g)
+    norms = column_pnorms(w, trace, p, 100).norms
+    assert np.allclose(norms, _pnorms_reference(w, trace, p, 100), rtol=1e-13, atol=0)
+
+
+def test_column_norms_invariant_under_rotation():
+    g = make_grid(1 << 13)
+    phi = parse_symbol("betaexp:0.5")
+    w, trace = parse_weight("hs", phi, g).trace, phi.trace(g)
+    turned = g.samples(np.exp(2.1j) * trace.values)
+    a = column_pnorms(w, trace, 2.0, 90).norms
+    b = column_pnorms(w, turned, 2.0, 90).norms
+    assert np.allclose(a, b, rtol=1e-13, atol=0)
+
+
+def test_column_norms_refuse_p_below_one():
+    w, phi = _dilation_traces(64)
+    with pytest.raises(ValueError, match="Hardy exponent"):
+        column_pnorms(w, phi, 0.5, 4)
 
 
 # ---------------------------------------------------------------- kernel route
