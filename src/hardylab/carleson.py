@@ -62,32 +62,46 @@ MIN_LEVELS = 8
 
 @dataclass(frozen=True)
 class PullbackMeasure:
-    """Finite atomic measure on the closed unit disk."""
+    """Finite atomic measure on the closed unit disk.
+
+    ``locations`` is a read-only view of the caller's array when that is
+    complex, not a copy.  It is a read-only copy when an atom with
+    |z| = 1 +- ulp had to be snapped onto the circle; the caller's array is
+    then left as given.  Callers must not write to an array they passed in
+    afterwards: the cached radii and angles would no longer describe it.
+    The masses must be nonnegative with a finite total.
+    """
 
     locations: np.ndarray
     masses: np.ndarray
 
     def __post_init__(self):
-        # own copy: boundary atoms are snapped in place below
-        loc = np.array(self.locations, dtype=complex).ravel()
+        loc = np.asarray(self.locations, dtype=complex).ravel()
         mas = np.asarray(self.masses, dtype=float).ravel()
         if loc.shape != mas.shape:
             raise ValueError("locations and masses must have equal length")
-        # all(x >= 0) rather than any(x < 0), so that a NaN fails the checks
-        if not np.all(mas >= 0):
-            raise ValueError("masses must be nonnegative, not NaN")
+        # all(x >= 0) rather than any(x < 0), so that a NaN fails the checks;
+        # the sum of nonnegative masses is finite exactly when none is inf
+        if not (np.all(mas >= 0) and np.isfinite(mas.sum())):
+            raise ValueError("masses must be nonnegative with a finite total, "
+                             "not NaN")
         r = np.abs(loc)
         if not np.all(r <= 1.0 + 1e-9):
             raise ValueError("atom locations must satisfy |z| <= 1, not NaN")
         # points meant to sit on the circle arrive with |z| = 1 +- ulp;
         # snap them so the boundary-atom conventions see them as such
         boundary = np.flatnonzero(r > 1.0 - 4e-16)
-        loc[boundary] /= r[boundary]
-        r[boundary] = 1.0
+        if boundary.size:
+            loc = loc.copy()
+            loc[boundary] /= r[boundary]
+            r[boundary] = 1.0
+        loc.setflags(write=False)
+        angles = np.angle(loc)
+        angles %= TWO_PI
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "masses", mas)
         object.__setattr__(self, "_radii", r)
-        object.__setattr__(self, "_angles", np.angle(loc) % TWO_PI)
+        object.__setattr__(self, "_angles", angles)
 
     @property
     def total_mass(self) -> float:
@@ -110,7 +124,11 @@ def pullback(phi_trace: BoundarySamples, density) -> PullbackMeasure:
     """Push the boundary measure density*dm forward through the trace.
 
     Atoms sit at the trace values with masses density/N, so the total mass
-    equals the quadrature of the density.
+    equals the quadrature of the density.  The measure's locations are a
+    read-only view of ``phi_trace.values`` (a copy only when an atom is
+    snapped onto the circle, see :class:`PullbackMeasure`); do not write to
+    the trace afterwards.  The density must be nonnegative with a finite
+    quadrature.
     """
     if isinstance(density, BoundarySamples):
         dv = np.asarray(density.values, dtype=float)
@@ -120,8 +138,8 @@ def pullback(phi_trace: BoundarySamples, density) -> PullbackMeasure:
             dv = np.full(phi_trace.grid.size, float(dv))
     if dv.shape != (phi_trace.grid.size,):
         raise ValueError("density must match the trace grid")
-    if not np.all(dv >= 0):
-        raise ValueError("density must be nonnegative, not NaN")
+    if not (np.all(dv >= 0) and np.isfinite(dv.sum())):
+        raise ValueError("density must be nonnegative and finite, not NaN")
     return PullbackMeasure(phi_trace.values, dv / phi_trace.grid.size)
 
 
@@ -177,8 +195,8 @@ def pullback_graded(
     locations = phi.trace_of_angle(signed)
     if density_fn is not None:
         dens = np.asarray(density_fn(signed), dtype=float)
-        if not np.all(dens >= 0):
-            raise ValueError("density must be nonnegative, not NaN")
+        if not (np.all(dens >= 0) and np.isfinite(dens.sum())):
+            raise ValueError("density must be nonnegative and finite, not NaN")
         weights = weights * dens
     return PullbackMeasure(locations, weights)
 
@@ -190,7 +208,9 @@ def _depth(mu: PullbackMeasure) -> np.ndarray:
     input rounding (e.g. |e^{it}|/2 = 0.5 - ulp) at depth <= 2^-n, on the
     closed side of every window edge.
     """
-    return (1.0 - mu.radii) * (1.0 - 4e-16)
+    d = 1.0 - mu.radii
+    d *= 1.0 - 4e-16
+    return d
 
 
 def _check_size(h: float) -> None:
@@ -214,21 +234,28 @@ def dyadic_boxes(mu: PullbackMeasure,
                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Corona level and aligned box index of each atom, levels 0..n_max.
 
-    Returns integer arrays (level, box) over the atoms.  An atom of corona
+    Returns (level, box) over the atoms: level is int16 (depths go down to
+    2^-1074, so coronas past 127 occur), box is int64.  An atom of corona
     n, 2^-(n+1) < depth <= 2^-n, lies in box j of that level when
     arg(z e^{-2 pi i j / 2^n}) is in (-pi 2^-n, pi 2^-n].  Boundary atoms and
     atoms deeper than corona n_max get level -1 and box -1.
     """
+    # each N-length temporary is dropped once read, to bound the peak
     d = _depth(mu)
     # d = m 2^e with m in [1/2, 1): corona -e, or 1-e when d = 2^(e-1)
     m, e = np.frexp(d)
-    level = (m == 0.5) - e.astype(np.int64)
+    level = np.subtract(m == 0.5, e, dtype=np.int16)
+    del m, e
     level[(d <= 0.0) | (level > n_max)] = -1
+    del d
     lv = np.maximum(level, 0)
     # with x = angle 2^n / (2 pi), box j covers x in (j - 1/2, j + 1/2]
-    scale = 2.0 ** np.arange(n_max + 1) / TWO_PI
-    j = np.ceil(mu.angles * scale[lv] - 0.5).astype(np.int64)
-    box = j & ((1 << lv) - 1)  # j mod 2^n
+    x = (2.0 ** np.arange(n_max + 1) / TWO_PI)[lv]
+    x *= mu.angles
+    x -= 0.5
+    box = np.ceil(x, out=x).astype(np.int64)
+    del x
+    box &= ((1 << np.arange(n_max + 1)) - 1)[lv]  # j mod 2^n
     box[level < 0] = -1
     return level, box
 
@@ -320,13 +347,19 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     if p <= 0:
         raise ValueError("Schatten exponent must be positive")
     level, box = dyadic_boxes(mu, n_max)
+    # atoms of level n are order[start[n]:start[n + 1]], in atom order
+    order = np.argsort(level, kind="stable")
+    start = np.searchsorted(level[order], np.arange(n_max + 2))
     per_level = np.zeros(n_max + 1)
     for n in range(n_max + 1):
-        sel = level == n
-        if not sel.any():
+        sel = order[start[n]:start[n + 1]]
+        if sel.size == 0:
             continue
-        # occupied boxes only: a level holds up to 2^n boxes, far more than atoms
-        _, slot = np.unique(box[sel], return_inverse=True)
+        # a level holds 2^n boxes: bin by box index while they are no more
+        # than the level's atoms, else over the occupied boxes only
+        slot = box[sel]
+        if (1 << n) > sel.size:
+            _, slot = np.unique(slot, return_inverse=True)
         masses = np.bincount(slot, weights=mu.masses[sel])
         nz = masses[masses > 0]
         per_level[n] = float(np.sum((nz * (1 << n)) ** (p / 2.0)))
@@ -409,6 +442,25 @@ def _entry_roots(ang, h, n_roots):
     return roots[np.concatenate(([True], roots[1:] != roots[:-1]))]
 
 
+def _window_max(ang, mas, h, n_roots, heavy):
+    """Largest closed-window mass of size h over the n_roots dyadic roots
+    and the ``heavy`` directions, for atoms sorted by angle."""
+    k = ang.size
+    a_ext = np.empty(2 * k)  # the angles, then the angles + 2 pi
+    a_ext[:k] = ang
+    np.add(ang, TWO_PI, out=a_ext[k:])
+    prefix = np.empty(2 * k + 1)  # prefix sums of [0, mas, mas]
+    prefix[0] = 0.0
+    prefix[1:k + 1] = mas
+    prefix[k + 1:] = mas
+    np.cumsum(prefix, out=prefix)
+    roots = (_entry_roots(ang, h, n_roots) if 3 * k + 1 < n_roots
+             else np.arange(n_roots))
+    centers = np.concatenate([TWO_PI * roots / n_roots, heavy])
+    return float(_arc_masses(a_ext, prefix, centers - np.pi * h,
+                             centers + np.pi * h).max())
+
+
 def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonReport:
     """Profile rho(h) = sup over centers of closed-window mass, h = 2^-n,
     for levels n_lo..n_hi within 0..DEEPEST_LEVEL.
@@ -435,9 +487,10 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     if not 0 <= n_lo < n_hi <= DEEPEST_LEVEL:
         raise ValueError(f"need 0 <= n_lo < n_hi <= {DEEPEST_LEVEL}")
     order = np.argsort(mu.angles, kind="stable")
-    ang = mu.angles[order]
     depth = _depth(mu)[order]
+    ang = mu.angles[order]
     mas = mu.masses[order]
+    del order
     light = mu.size - HEAVY_CENTERS
     cut = np.partition(mu.masses, light)[light] if light > 0 else -np.inf
     above = np.flatnonzero(mu.masses > cut)
@@ -449,18 +502,13 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     for i, n in enumerate(levels):
         h = 2.0**-n
         keep = depth <= h
-        ang, depth, mas = ang[keep], depth[keep], mas[keep]
+        # one array at a time, so no level holds two copies of all three
+        ang = ang[keep]
+        depth = depth[keep]
+        mas = mas[keep]
         if ang.size == 0:
             break
-        a_ext = np.concatenate([ang, ang + TWO_PI])
-        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([mas, mas]))])
-        n_roots = 1 << (n + 2)
-        roots = (_entry_roots(ang, h, n_roots) if 3 * ang.size + 1 < n_roots
-                 else np.arange(n_roots))
-        centers = np.concatenate([TWO_PI * roots / n_roots, heavy])
-        masses = _arc_masses(a_ext, prefix, centers - np.pi * h,
-                             centers + np.pi * h)
-        rho[i] = float(masses.max())
+        rho[i] = _window_max(ang, mas, h, 1 << (n + 2), heavy)
     h_vals = 2.0 ** -levels.astype(float)
     return CarlesonReport(levels=levels, h=h_vals, rho=rho,
                           ratio=rho / h_vals)

@@ -290,10 +290,13 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    dens = np.abs(np.asarray(wtrace.values)) ** 2
+    dens = np.abs(np.asarray(wtrace.values))
+    dens *= dens
     base = _one_minus_mod_sq(phitrace, phi_co)
     with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(base > 0.0, dens / base**alpha, np.inf)
+        integrand = base**alpha
+        np.divide(dens, integrand, out=integrand)
+    integrand[~(base > 0.0)] = np.inf
     bad = ~np.isfinite(integrand)
     if np.any(bad):
         if np.any(np.isnan(dens[bad]) | np.isnan(base[bad])):

@@ -296,10 +296,10 @@ def constant(c: complex) -> Symbol:
 class LevelSets:
     """Nested boundary sets F_k = {|phi*| > 1 - h_k} with masses c_k.
 
-    ``level_index[j]`` is the deepest k whose set contains sample j; the
-    sets are nested by construction.  The inclusion at the threshold is
-    strict, so a constant symbol sitting exactly on a dyadic level has
-    empty sets from k = 1 on.
+    ``level_index[j]`` is the deepest k whose set contains sample j, an
+    int8 array (k <= log2(N) - 2); the sets are nested by construction.
+    The inclusion at the threshold is strict, so a constant symbol sitting
+    exactly on a dyadic level has empty sets from k = 1 on.
     """
 
     grid: BoundaryGrid
@@ -347,7 +347,8 @@ def level_sets(phi: Symbol, grid: BoundaryGrid, k_max: int | None = None,
     # the h_k decrease, so co < h_k holds for k = 1..level and no further:
     # level counts the h_k (k >= 1) above co; NaN is above none
     k_top = len(thresholds) - 1
-    level = k_top - np.searchsorted(thresholds[:0:-1], co, side="right")
+    level = np.subtract(k_top, np.searchsorted(thresholds[:0:-1], co,
+                                               side="right"), dtype=np.int8)
     counts = np.bincount(level, minlength=k_top + 1)
     masses = np.cumsum(counts[::-1])[::-1] / n
     return LevelSets(

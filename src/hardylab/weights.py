@@ -99,12 +99,17 @@ def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
 
 
 def unit_weight(grid: BoundaryGrid) -> Weight:
-    """w = 1: modulus and trace 1, the outer function of log-modulus 0."""
+    """w = 1: modulus and trace 1, the outer function of log-modulus 0.
+
+    The three arrays are read-only zero-stride broadcasts of one constant,
+    so the weight holds no N-length data.
+    """
+    n = grid.size
     return Weight(
         name="unit",
-        modulus=grid.samples(np.ones(grid.size)),
-        trace=grid.samples(np.ones(grid.size, dtype=complex)),
-        outer=OuterFunction(grid, np.zeros(grid.size)),
+        modulus=grid.samples(np.broadcast_to(1.0, n)),
+        trace=grid.samples(np.broadcast_to(1.0 + 0j, n)),
+        outer=OuterFunction(grid, np.broadcast_to(0.0, n)),
     )
 
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from hardylab import carleson
 from hardylab.grid import make_grid
-from hardylab.symbols import beta_exp, half, hs_extremal, lens
-from hardylab.weights import lens_decompact_weight
+from hardylab.symbols import beta_exp, half, hs_extremal, lens, level_sets
+from hardylab.weights import lens_decompact_weight, unit_weight
 from hardylab.carleson import (
     DEEPEST_LEVEL,
     HEAVY_CENTERS,
@@ -73,6 +73,7 @@ def test_pullback_rejects_negative_density():
     ([0.5, 0.2j, np.nan], [0.1, 0.2, 0.3], "locations"),
     ([0.5, complex(np.nan, 0.1), 0.1], [0.1, 0.2, 0.3], "locations"),
     ([0.5, np.inf, 0.1], [0.1, 0.2, 0.3], "locations"),
+    ([0.5, 0.2j], [np.inf, 0.3], "masses"),
 ])
 def test_measure_refuses_nan_atoms(locations, masses, match):
     # a NaN atom used to be accepted: total mass nan, an empty kernel
@@ -83,18 +84,21 @@ def test_measure_refuses_nan_atoms(locations, masses, match):
 
 def test_pullback_refuses_nan_density():
     g = make_grid(64)
-    density = np.ones(64)
-    density[5] = np.nan
-    with pytest.raises(ValueError, match="density"):
-        pullback(g.samples(0.5 * g.points), density)
+    for bad in (np.nan, np.inf):
+        density = np.ones(64)
+        density[5] = bad
+        with pytest.raises(ValueError, match="density"):
+            pullback(g.samples(0.5 * g.points), density)
 
 
 def test_pullback_graded_refuses_nan_density():
-    def density(t):
-        return np.where(np.arange(t.size) == 3, np.nan, 1.0)
+    for bad in (np.nan, np.inf):
+        def density(t):
+            return np.where(np.arange(t.size) == 3, bad, 1.0)
 
-    with pytest.raises(ValueError, match="density"):
-        pullback_graded(lens(0.5), density_fn=density, octaves=8, per_octave=4)
+        with pytest.raises(ValueError, match="density"):
+            pullback_graded(lens(0.5), density_fn=density, octaves=8,
+                            per_octave=4)
 
 
 def test_graded_boundary_mass_exact():
@@ -436,21 +440,44 @@ def test_luecking_p_monotone_when_normalized():
     assert np.all(np.diff(totals) <= 1e-12)
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_luecking_memory_follows_atoms_not_boxes():
     # level 24 tiles the corona with 2^24 boxes; three atoms occupy two
     r = 1.0 - 0.75 * 2.0**-24
     mu = PullbackMeasure(r * np.exp(1j * np.array([-1e-9, 1e-9, np.pi / 2])),
                          np.array([1e-3, 2e-3, 4e-3]))
-    tracemalloc.start()
-    try:
-        rep = luecking_sum(mu, 1.0, 24)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = _traced_peak(luecking_sum, mu, 1.0, 24)
     expected = np.sqrt(2.0**24 * 3e-3) + np.sqrt(2.0**24 * 4e-3)
     assert abs(rep.per_level[24] - expected) <= 1e-12 * expected
     assert rep.series.total == rep.per_level[24]
     assert peak < 2**20
+
+
+def test_measure_layer_holds_no_duplicate_arrays():
+    # a 2^16-point half pull-back with the unit weight: the measure views
+    # the trace and the transient peaks stay a few float arrays of length N
+    g = make_grid(2**16)
+    trace = half().trace(g)
+    w = unit_weight(g)
+    density = w.density()
+    n_floats = 8 * g.size
+    mu, peak = _traced_peak(pullback, trace, density)
+    assert peak < 4.5 * n_floats
+    assert np.shares_memory(mu.locations, trace.values)
+    assert not mu.locations.flags.writeable
+    for constant in (w.modulus.values, w.trace.values, w.outer.log_modulus):
+        assert constant.strides == (0,)
+    assert level_sets(half(), g).level_index.dtype == np.int8
+    _, peak = _traced_peak(luecking_sum, mu, 2.0, 14)
+    assert peak < 4 * n_floats
 
 
 def test_luecking_rejects_bad_p():
@@ -500,9 +527,13 @@ def test_series_tail_exponent_is_the_reason():
 def test_annulus_excludes_boundary_atoms():
     mu = _uniform_circle_measure()
     assert annulus_mass(mu, 1.0) == 0.0  # all atoms on |z| = 1
-    locs = np.array([0.5, 1.0 + 0j])
-    mu2 = PullbackMeasure(locs, np.array([0.25, 0.75]))
+    # |z| = 1 + ulp is snapped onto the circle in the measure's own copy
+    outside = np.nextafter(1.0, 2.0) * 1j
+    locs = np.array([0.5, 1.0 + 0j, outside])
+    mu2 = PullbackMeasure(locs, np.array([0.25, 0.75, 0.5]))
     assert annulus_mass(mu2, 1.0) == 0.25
+    assert mu2.locations[2] == 1j and mu2.radii[2] == 1.0
+    assert locs[2] == outside and not np.shares_memory(mu2.locations, locs)
 
 
 def test_annulus_beta_rate():
