@@ -130,17 +130,18 @@ def pullback(phi_trace: BoundarySamples, density) -> PullbackMeasure:
     the trace afterwards.  The density must be nonnegative with a finite
     quadrature.
     """
+    n = phi_trace.grid.size
     if isinstance(density, BoundarySamples):
         dv = np.asarray(density.values, dtype=float)
     else:
         dv = np.asarray(density, dtype=float)
-        if dv.ndim == 0:
-            dv = np.full(phi_trace.grid.size, float(dv))
-    if dv.shape != (phi_trace.grid.size,):
+    if dv.shape not in ((), (n,)):
         raise ValueError("density must match the trace grid")
     if not (np.all(dv >= 0) and np.isfinite(dv.sum())):
         raise ValueError("density must be nonnegative and finite, not NaN")
-    return PullbackMeasure(phi_trace.values, dv / phi_trace.grid.size)
+    # a constant density is divided once, not sample by sample
+    masses = np.full(n, dv / n) if dv.ndim == 0 else dv / n
+    return PullbackMeasure(phi_trace.values, masses)
 
 
 def graded_boundary(singular_angles, octaves: int = 32, per_octave: int = 24):

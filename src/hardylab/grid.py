@@ -5,6 +5,9 @@ ever lands on t = 0 or t = pi.  Boundary data with singularities at the
 contact angles therefore stays finite without special casing, and kinks
 sitting exactly between two samples integrate with one extra order of
 accuracy.
+
+A grid holds only its size.  Its angles, signed angles and points are
+computed on each access, and every access returns a new, writable array.
 """
 
 from __future__ import annotations
@@ -58,15 +61,38 @@ class IntegralResult(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundaryGrid:
-    """Half-step offset uniform grid on the circle with normalized measure."""
+    """Half-step offset uniform grid on the circle with normalized measure.
+
+    The grid holds only its size, so grids of one size compare equal and
+    hash alike.  ``angles``, ``signed_angles()`` and ``points`` build a new,
+    writable array on each access; a caller that reads one often keeps it.
+    """
 
     size: int
-    angles: np.ndarray
-    points: np.ndarray
+
+    @property
+    def angles(self) -> np.ndarray:
+        """t_j = 2 pi (j + 1/2) / N in [0, 2 pi), built in one buffer."""
+        t = np.arange(0.5, self.size)
+        t *= TWO_PI
+        t /= self.size
+        return t
+
+    @property
+    def points(self) -> np.ndarray:
+        """The grid points e^{i t_j}, built in one complex buffer."""
+        z = 1j * self.angles
+        return np.exp(z, out=z)
 
     def signed_angles(self) -> np.ndarray:
-        """Angles mapped to (-pi, pi]; |t| measures distance to angle 0."""
-        return signed_angle(self.angles)
+        """Angles mapped to (-pi, pi]; |t| measures distance to angle 0.
+
+        The angles pass pi between j = N/2 - 1 and N/2, so 2 pi comes off
+        the upper half in place.
+        """
+        t = self.angles
+        t[self.size // 2:] -= TWO_PI
+        return t
 
     def samples(self, values) -> "BoundarySamples":
         return BoundarySamples(self, values)
@@ -89,14 +115,13 @@ class BoundarySamples:
 
 
 def make_grid(n: int) -> BoundaryGrid:
-    """Build the N-point offset grid; N must be a power of two, N >= 8."""
+    """The N-point offset grid; N must be a power of two, N >= 8.
+
+    The grid holds only N; see :class:`BoundaryGrid` for its arrays.
+    """
     if n < 8 or (n & (n - 1)) != 0:
         raise GridError(f"grid size must be a power of two >= 8, got {n}")
-    angles = TWO_PI * (np.arange(n) + 0.5) / n
-    points = np.exp(1j * angles)
-    angles.setflags(write=False)
-    points.setflags(write=False)
-    return BoundaryGrid(size=n, angles=angles, points=points)
+    return BoundaryGrid(n)
 
 
 def quadrature(f: BoundarySamples) -> complex:

@@ -160,7 +160,7 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
     sample.  Cuts at or beyond N/4 are rejected; the guard keeps the
     coefficients of w and phi clear of aliasing.
     """
-    if wtrace.grid is not phitrace.grid and wtrace.grid.size != phitrace.grid.size:
+    if wtrace.grid != phitrace.grid:
         raise GridError("traces must share a grid")
     n = wtrace.grid.size
     if row_cut >= n // 4 or col_cut >= n // 4:

@@ -104,7 +104,9 @@ class Symbol:
         t = grid.signed_angles()
         if self.analytic is None:
             return OuterFunction(grid, self.log_modulus(t)).boundary()
-        return grid.samples(self.analytic(np.exp(1j * t)))
+        z = 1j * t  # e^{it} in one complex buffer
+        np.exp(z, out=z)
+        return grid.samples(self.analytic(z))
 
     def trace_of_angle(self, t):
         """Boundary trace at arbitrary angles; closed-form symbols only."""

@@ -78,8 +78,15 @@ class Weight:
         return self.outer.log_divergent
 
     def density(self) -> np.ndarray:
-        """|w*|^2, the boundary density seen by the pull-back measure."""
-        return np.asarray(self.modulus.values, dtype=float) ** 2
+        """|w*|^2, the boundary density seen by the pull-back measure.
+
+        A zero-stride modulus (one constant, as for :func:`unit_weight`)
+        gives a zero-stride, read-only density.
+        """
+        m = np.asarray(self.modulus.values, dtype=float)
+        if m.strides == (0,):
+            return np.broadcast_to(m[:1] ** 2, m.shape)
+        return m ** 2
 
     def h2_norm_sq(self) -> float:
         return float(np.mean(self.density()))

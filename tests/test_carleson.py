@@ -471,6 +471,11 @@ def test_measure_layer_holds_no_duplicate_arrays():
     n_floats = 8 * g.size
     mu, peak = _traced_peak(pullback, trace, density)
     assert peak < 4.5 * n_floats
+    # the unit density stays one zero-stride constant, and a constant
+    # density is divided once: masses, radii and angles are the arrays
+    assert density.strides == (0,)
+    _, peak = _traced_peak(pullback, trace, 1.0)
+    assert peak < 3.5 * n_floats
     assert np.shares_memory(mu.locations, trace.values)
     assert not mu.locations.flags.writeable
     for constant in (w.modulus.values, w.trace.values, w.outer.log_modulus):

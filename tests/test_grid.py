@@ -1,11 +1,16 @@
 """Grid construction, quadrature, coefficient extraction, Hardy norms."""
 
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hardylab.grid import (
+    TWO_PI,
+    BoundaryGrid,
     GridError,
     hardy_norm,
     log_integral,
@@ -13,9 +18,10 @@ from hardylab.grid import (
     quadrature,
     taylor_coefficients,
 )
+from hardylab.operators import operator_matrix
 from hardylab.outer import outer_from_modulus
 from hardylab.symbols import custom_outer, extreme_not_exposed
-from hardylab.weights import hs_weight
+from hardylab.weights import hs_weight, unit_weight
 
 
 def test_grid_angles_offset():
@@ -27,6 +33,60 @@ def test_grid_angles_offset():
     # no angle hits 0 or pi exactly
     assert not np.any(g.angles == 0.0)
     assert not np.any(g.angles == np.pi)
+
+
+@pytest.mark.parametrize("n", [8, 2**10, 2**20])
+def test_grid_arrays_match_the_closed_formulas(n):
+    # the arrays a grid computes on access are the bits of the formulas
+    # t_j = 2 pi (j + 1/2) / N, t_j - 2 pi where t_j > pi, and e^{i t_j}
+    g = make_grid(n)
+    angles = TWO_PI * (np.arange(n) + 0.5) / n
+    assert np.array_equal(g.angles, angles)
+    assert np.array_equal(g.signed_angles(),
+                          np.where(angles > np.pi, angles - TWO_PI, angles))
+    assert np.array_equal(g.points, np.exp(1j * angles))
+
+
+def _traced(fn, *args):
+    """(output, peak traced bytes, bytes still traced at return)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+        return out, peak, current
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_holds_only_its_size():
+    assert [f.name for f in fields(BoundaryGrid)] == ["size"]
+    g, peak, held = _traced(make_grid, 2**20)
+    assert peak < 4096 and held < 4096
+    # each access returns a new, writable array
+    assert g.angles is not g.angles and g.angles.flags.writeable
+    a = g.points
+    a[:] = 0
+    assert np.all(np.abs(g.points) > 0.5)
+
+
+def test_signed_angles_peak_is_one_array():
+    n = 2**16
+    g = make_grid(n)
+    _, peak, _ = _traced(g.signed_angles)
+    assert peak < 1.25 * 8 * n
+
+
+def test_grids_compare_and_hash_by_size():
+    assert make_grid(64) == make_grid(64)
+    assert make_grid(64) != make_grid(128)
+    assert len({make_grid(64): 1, make_grid(64): 2, make_grid(128): 3}) == 2
+    # traces on separately made grids of one size share a grid; grids of
+    # different sizes are still refused
+    w = unit_weight(make_grid(64)).trace
+    phi = make_grid(64).samples(0.5 * make_grid(64).points)
+    assert operator_matrix(w, phi, 8, 8).entries.shape == (9, 9)
+    with pytest.raises(GridError, match="share a grid"):
+        operator_matrix(unit_weight(make_grid(128)).trace, phi, 8, 8)
 
 
 @pytest.mark.parametrize("n", [4, 6, 7, 100])
