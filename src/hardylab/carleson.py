@@ -1,6 +1,6 @@
 """Atomic pull-back measures on the closed disk and their window geometry.
 
-Carleson windows, Hastings-Luecking boxes, dyadic annuli, Carleson function
+Carleson windows, Hastings-Luecking boxes, annuli, Carleson function
 profiles, and the dyadic box-counting sums of the Schatten-class embedding
 criterion.  All measures are finite atomic measures; window queries reduce
 to depth filters plus circular interval sums over angle-sorted atoms.
@@ -10,11 +10,11 @@ a few ulp (:func:`_depth`), so that an atom placed on a dyadic circle
 |z| = 1 - 2^-n, which arrives as 1 - 2^-n +- ulp, sits on it.  Boundary
 atoms have d = 0.
 
-* The Carleson window of size h is closed: d <= h and
-  |arg(z conj(center))| <= pi h (boundary atoms included, per the closure
-  in the Carleson function).
-* The annulus of size h is 0 < d <= h (boundary atoms excluded); its dyadic
-  half is h/2 < d <= h.
+* A Carleson window of size h is closed: d <= h and arg z in the closed
+  arc [a, a + 2 pi h] (mod 2 pi) for some a, boundary atoms included, per
+  the closure in the Carleson function.  The profile takes the supremum
+  over every a.
+* The annulus of size h is 0 < d <= h (boundary atoms excluded).
 * Corona n is the dyadic annulus of size 2^-n: 2^-(n+1) < d <= 2^-n.  Its
   2^n aligned Hastings-Luecking boxes are the angular cells (-pi 2^-n,
   pi 2^-n] around e^{2 pi i j / 2^n}, so they tile the corona exactly, atom
@@ -39,18 +39,15 @@ __all__ = [
     "pullback",
     "pullback_graded",
     "graded_boundary",
-    "window_mass",
     "dyadic_boxes",
     "carleson_profile",
     "luecking_sum",
     "annulus_mass",
-    "simp_bound",
 ]
 
-# Number of heaviest-atom directions added to the window-center set.
-HEAVY_CENTERS = 64
-# Deepest Carleson profile level: the entry-root rule's rounding bound
-# (:func:`_entry_roots`) holds down to root spacing pi 2^-50.
+# Deepest Carleson profile level: a window edge a + 2 pi h below 4 pi is
+# rounded by at most ulp(2 pi)/2 = 4.4e-16, within 4% of the window length
+# 2 pi h down to h = 2^-49.
 DEEPEST_LEVEL = 49
 
 # Series verdict thresholds on the fitted tail exponent (:class:`Series`);
@@ -214,23 +211,6 @@ def _depth(mu: PullbackMeasure) -> np.ndarray:
     return d
 
 
-def _check_size(h: float) -> None:
-    if not 0.0 < h <= 1.0:
-        raise ValueError("window size must be in (0, 1]")
-
-
-def window_mass(mu: PullbackMeasure, center: complex, h: float) -> float:
-    """Mass of the closed Carleson window of size h at ``center`` on the
-    circle: depth <= h and |arg(z conj(center))| <= pi h."""
-    _check_size(h)
-    c = complex(center)
-    if abs(abs(c) - 1.0) > 1e-9:
-        raise ValueError("window center must lie on the unit circle")
-    d = np.angle(mu.locations * np.conj(c / abs(c)))
-    inside = (_depth(mu) <= h) & (np.abs(d) <= np.pi * h)
-    return float(mu.masses[inside].sum())
-
-
 def dyadic_boxes(mu: PullbackMeasure,
                  n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Corona level and aligned box index of each atom, levels 0..n_max.
@@ -367,13 +347,12 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     return LueckingReport(p=p, series=Series(np.arange(n_max + 1), per_level))
 
 
-def annulus_mass(mu: PullbackMeasure, h: float, dyadic: bool = False) -> float:
-    """Mass of the annulus 0 < depth <= h, or of its dyadic half
-    h/2 < depth <= h."""
-    _check_size(h)
+def annulus_mass(mu: PullbackMeasure, h: float) -> float:
+    """Mass of the annulus 0 < depth <= h."""
+    if not 0.0 < h <= 1.0:
+        raise ValueError("annulus size must be in (0, 1]")
     d = _depth(mu)
-    inside = (d > (h / 2.0 if dyadic else 0.0)) & (d <= h)
-    return float(mu.masses[inside].sum())
+    return float(mu.masses[(d > 0.0) & (d <= h)].sum())
 
 
 @dataclass(frozen=True)
@@ -395,95 +374,45 @@ class CarlesonReport:
         return float(self.ratio[-1] / top) if top > 0 else 0.0
 
 
-def _arc_masses(sorted_angles, prefix, lo, hi):
-    """Masses of closed arcs [lo, hi] against angle-sorted prefix sums.
+def _window_max(ang, mas, h):
+    """Largest mass of a closed arc [a, a + 2 pi h] with a at an atom, for
+    atoms sorted by angle: one prefix sum and one search of the K ends.
 
-    ``sorted_angles`` is the angle list of K atoms followed by the same list
-    shifted by 2 pi.  An arc holds at most K consecutive entries, one turn,
-    so the closed full-circle arc counts the atom on both its ends once.
+    Window i holds the atoms from i up to its end.  A window that passes
+    2 pi holds all atoms from i on, plus those up to its end - 2 pi (exact,
+    by Sterbenz), capped at i so that it holds at most one turn.
     """
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
-    shift = np.where(lo < 0.0, TWO_PI, 0.0)
-    lo = lo + shift
-    hi = hi + shift
-    left = np.searchsorted(sorted_angles, lo, side="left")
-    right = np.searchsorted(sorted_angles, hi, side="right")
-    right = np.minimum(right, left + sorted_angles.size // 2)
-    return prefix[right] - prefix[left]
-
-
-def _entry_roots(ang, h, n_roots):
-    """Roots of a profile level whose window mass can be the level's maximum.
-
-    Root k centers the closed window [c_k - pi h, c_k + pi h], c_k = k s with
-    spacing s = 2 pi / n_roots, and pi h = 2s.  Walk the roots of a level
-    n >= 1 in the order 2, 3, ..., n_roots - 1, 0, 1: :func:`_arc_masses`
-    reads these windows, none of which spans the circle, off one prefix
-    array (roots 0 and 1 off its shifted copy), and along this walk both
-    edge indices are nondecreasing.  A root whose window gains no
-    atom over the root before it holds an index range inside that root's,
-    so its float mass is no larger.  The maximum is therefore reached at
-    root 2, where the walk starts, or where an atom at angle theta enters,
-    at the first root with c_k + pi h >= theta: k = ceil((theta - pi h)/s)
-    mod n_roots.
-
-    Rounding moves that root by at most one.  The root c_k, its window edge,
-    the copy theta + 2 pi, theta - pi h and the quotient by s are rounded
-    once each.  Where s is small enough to matter every one of them lies
-    below 8, so the errors add up to at most 4 * 4.4e-16 + 2 pi 2^-53 =
-    2.5e-15, below s = pi 2^-(n+1) = 2.8e-15 at level DEEPEST_LEVEL = 49.
-    Roots k - 1, k and k + 1 of every atom plus root 2 thus hold the maximum
-    over all roots exactly.  Duplicates are dropped by sort and adjacent
-    difference.
-    """
-    k = np.ceil((ang - np.pi * h) / (TWO_PI / n_roots)).astype(np.int64)
-    roots = np.concatenate([k - 1, k, k + 1, [2]]) & (n_roots - 1)
-    roots.sort()
-    return roots[np.concatenate(([True], roots[1:] != roots[:-1]))]
-
-
-def _window_max(ang, mas, h, n_roots, heavy):
-    """Largest closed-window mass of size h over the n_roots dyadic roots
-    and the ``heavy`` directions, for atoms sorted by angle."""
     k = ang.size
-    a_ext = np.empty(2 * k)  # the angles, then the angles + 2 pi
-    a_ext[:k] = ang
-    np.add(ang, TWO_PI, out=a_ext[k:])
-    prefix = np.empty(2 * k + 1)  # prefix sums of [0, mas, mas]
+    prefix = np.empty(k + 1)
     prefix[0] = 0.0
-    prefix[1:k + 1] = mas
-    prefix[k + 1:] = mas
-    np.cumsum(prefix, out=prefix)
-    roots = (_entry_roots(ang, h, n_roots) if 3 * k + 1 < n_roots
-             else np.arange(n_roots))
-    centers = np.concatenate([TWO_PI * roots / n_roots, heavy])
-    return float(_arc_masses(a_ext, prefix, centers - np.pi * h,
-                             centers + np.pi * h).max())
+    np.cumsum(mas, out=prefix[1:])
+    ends = ang + TWO_PI * h
+    wrap = np.searchsorted(ends, TWO_PI)  # windows from here on pass 2 pi
+    ends[wrap:] -= TWO_PI
+    right = np.searchsorted(ang, ends, side="right")
+    np.minimum(right[wrap:], np.arange(wrap, k), out=right[wrap:])
+    mass = prefix[right]
+    mass[wrap:] += prefix[k]
+    mass -= prefix[:-1]
+    # the heaviest window summed again directly, pairwise: a prefix
+    # difference drifts by up to K ulp of the level's mass
+    i = int(np.argmax(mass))
+    if i < wrap:
+        return float(mas[i:right[i]].sum())
+    return float(mas[i:].sum() + mas[:right[i]].sum())
 
 
 def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonReport:
-    """Profile rho(h) = sup over centers of closed-window mass, h = 2^-n,
-    for levels n_lo..n_hi within 0..DEEPEST_LEVEL.
+    """Profile rho(h) = sup of the mass of depth <= h over all closed arcs of
+    length 2 pi h, h = 2^-n, for levels n_lo..n_hi within 0..DEEPEST_LEVEL.
 
-    The center set per level holds the 2^{n+2} dyadic roots (4x
-    oversampling, which also makes the profile provably nonincreasing in
-    decreasing h) plus the directions of the HEAVY_CENTERS heaviest atoms
-    (all atoms when there are fewer), picked by an O(N) partition; among
-    equal masses at the cut the later atoms are taken.
-
-    The atoms are sorted by angle once, stably, in O(N log N).  Level n
-    keeps the atoms of the level before it with depth <= h: a boolean filter
-    preserves the angle order, so each level costs one O(N) filter and
-    prefix sum and no sort.  Once no atom is left the remaining levels are 0.
-
-    Entry roots: over the roots the window mass is piecewise constant and
-    rises only where an atom enters the window, at its angle minus pi h, so
-    its maximum is reached at the first root at or after some atom's entry
-    (:func:`_entry_roots`).  A level that keeps K atoms with 3K + 1 < 2^{n+2}
-    evaluates only those roots and their neighbors, at most 3K + 1, in
-    O(K log K); no array of 2^{n+2} roots is built.  Denser levels evaluate
-    every root.
+    A heaviest arc slides forward until its left edge sits on an atom, so
+    the supremum is a maximum over the K atoms kept at a level as left
+    edges, with no center set.  The atoms are sorted by angle once, stably,
+    in O(N log N).  Level n keeps the atoms of the level before it with
+    depth <= h: a boolean filter preserves the angle order, so each level
+    costs one prefix sum and one search of K window ends, O(K log K), and
+    no sort (:func:`_window_max`).  Once no atom is left the remaining levels are 0.
     """
     if not 0 <= n_lo < n_hi <= DEEPEST_LEVEL:
         raise ValueError(f"need 0 <= n_lo < n_hi <= {DEEPEST_LEVEL}")
@@ -492,12 +421,6 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     ang = mu.angles[order]
     mas = mu.masses[order]
     del order
-    light = mu.size - HEAVY_CENTERS
-    cut = np.partition(mu.masses, light)[light] if light > 0 else -np.inf
-    above = np.flatnonzero(mu.masses > cut)
-    heavy = np.sort(mu.angles[np.concatenate([  # ties (N when uniform) not kept
-        above, np.flatnonzero(mu.masses == cut)[above.size - HEAVY_CENTERS:]])])
-
     levels = np.arange(n_lo, n_hi + 1)
     rho = np.zeros(len(levels))
     for i, n in enumerate(levels):
@@ -509,18 +432,7 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
         mas = mas[keep]
         if ang.size == 0:
             break
-        rho[i] = _window_max(ang, mas, h, 1 << (n + 2), heavy)
+        rho[i] = _window_max(ang, mas, h)
     h_vals = 2.0 ** -levels.astype(float)
     return CarlesonReport(levels=levels, h=h_vals, rho=rho,
                           ratio=rho / h_vals)
-
-
-def simp_bound(n: int, report: CarlesonReport) -> float:
-    """Approximation-number upper bound inf_h (e^{-n h} + sup_{t<=h}
-    sqrt(rho(t)/t)) over the report's dyadic levels."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    # suffix max over levels: t <= h means level index >= current
-    tail_sup = np.maximum.accumulate(report.ratio[::-1])[::-1]
-    values = np.exp(-n * report.h) + np.sqrt(tail_sup)
-    return float(values.min())

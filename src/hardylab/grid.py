@@ -1,4 +1,4 @@
-"""Uniform sampling of the unit circle, spectral quadrature and Hardy norms.
+"""Uniform circle sampling, spectral quadrature and Taylor coefficients.
 
 The grid uses half-step offset angles t_j = 2*pi*(j + 1/2)/N, so no sample
 ever lands on t = 0 or t = pi.  Boundary data with singularities at the
@@ -25,9 +25,7 @@ __all__ = [
     "make_grid",
     "signed_angle",
     "quadrature",
-    "taylor_coefficients",
     "coefficients_from_fft",
-    "hardy_norm",
     "log_integral",
     "refined_mean",
 ]
@@ -129,30 +127,10 @@ def quadrature(f: BoundarySamples) -> complex:
     return complex(np.mean(f.values))
 
 
-def taylor_coefficients(f: BoundarySamples, m: int) -> np.ndarray:
-    """First m+1 Taylor coefficients of the analytic extension of f.
-
-    c_n = (1/N) sum_j f(xi_j) xi_j^{-n}, computed by FFT with the offset
-    phase.  Exact for boundary traces of polynomials of degree <= m when
-    N > 2m; analytic-in-a-larger-disk data aliases at the 2^{-N/2+n} scale.
-    """
-    n = f.grid.size
-    if m >= n // 2:
-        raise GridError(f"need m < N/2 to avoid aliasing, got m={m}, N={n}")
-    return coefficients_from_fft(np.fft.fft(f.values), m, n)
-
-
 def coefficients_from_fft(spectrum: np.ndarray, m: int, n: int) -> np.ndarray:
     """c_0..c_m from the FFT (or rfft) of N samples on the offset grid
     (no guard)."""
     return spectrum[: m + 1] / n * np.exp(-1j * np.pi * np.arange(m + 1) / n)
-
-
-def hardy_norm(f: BoundarySamples, p: float = 2.0) -> float:
-    """H^p norm of the boundary samples, (mean |f|^p)^(1/p)."""
-    if p < 1:
-        raise ValueError(f"Hardy exponent must be >= 1, got {p}")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
 
 def refined_mean(values) -> IntegralResult:

@@ -38,7 +38,6 @@ __all__ = [
     "compactify_weight",
     "staircase_weight",
     "stretched_staircase_delta",
-    "eps_staircase_delta",
     "lens_decompact_weight",
     "box_decompact_weight",
     "parse_weight",
@@ -211,13 +210,6 @@ def compactify_weight(levels: LevelSets):
     return _step_weight("compactify", levels, log_steps), schedule
 
 
-def _monotone_from_tail(delta: np.ndarray) -> np.ndarray:
-    """Smallest nonincreasing majorant: flattens the early hump of a
-    schedule whose raw formula only decreases eventually, leaving the tail
-    (which carries the decay rate) untouched."""
-    return np.maximum.accumulate(delta[::-1])[::-1]
-
-
 def stretched_staircase_delta(beta: float, k_max: int) -> np.ndarray:
     """Staircase schedule delta_k = exp(-2^{k/beta}/k^2), k = 1..k_max.
 
@@ -226,17 +218,8 @@ def stretched_staircase_delta(beta: float, k_max: int) -> np.ndarray:
     majorant, identical from the hump on.
     """
     k = np.arange(1, k_max + 1, dtype=float)
-    return _monotone_from_tail(np.exp(-(2.0 ** (k / beta)) / k**2))
-
-
-def eps_staircase_delta(k_max: int) -> np.ndarray:
-    """Schedule delta_k = exp(-2^{k/3} eps(2^k)) with eps(n) = 1/log(n)^2.
-
-    Monotonized from the tail like the stretched schedule.
-    """
-    k = np.arange(1, k_max + 1, dtype=float)
-    eps = 1.0 / np.log(2.0**k) ** 2
-    return _monotone_from_tail(np.exp(-(2.0 ** (k / 3.0)) * eps))
+    delta = np.exp(-(2.0 ** (k / beta)) / k**2)
+    return np.maximum.accumulate(delta[::-1])[::-1]
 
 
 def staircase_weight(levels: LevelSets, delta: Sequence[float]):

@@ -1,0 +1,49 @@
+"""Direct references for the window queries of ``hardylab.carleson``.
+
+Each one tests every atom against a window and sums the atoms inside with
+``math.fsum``, so its only rounding is the final one.
+"""
+
+import math
+
+import numpy as np
+
+from hardylab.carleson import _depth
+
+TWO_PI = 2.0 * np.pi
+
+
+def window_mass(mu, center, h):
+    """Mass of the closed Carleson window of size h at ``center`` on the
+    circle: depth <= h and |arg(z conj(center))| <= pi h."""
+    c = complex(center)
+    offset = np.angle(mu.locations * np.conj(c / abs(c)))
+    inside = (_depth(mu) <= h) & (np.abs(offset) <= np.pi * h)
+    return math.fsum(mu.masses[inside])
+
+
+def dyadic_annulus_mass(mu, h):
+    """Mass of the dyadic half h/2 < depth <= h of the annulus of size h."""
+    d = _depth(mu)
+    return math.fsum(mu.masses[(d > h / 2.0) & (d <= h)])
+
+
+def arc_profile(mu, n_lo, n_hi):
+    """Carleson profile by brute force: per level h = 2^-n, the largest mass
+    of depth <= h on a closed arc [a, a + 2 pi h], over every atom's angle
+    a as the left edge.  The part of an arc past 2 pi holds the atoms with
+    angle <= a + 2 pi h - 2 pi, short of a, so that an arc holds at most
+    one turn."""
+    depth, angles = _depth(mu), mu.angles
+    rho = []
+    for n in range(n_lo, n_hi + 1):
+        h = 2.0**-n
+        kept = depth <= h
+        ang, mas = angles[kept], mu.masses[kept]
+        best = 0.0
+        for a in ang:
+            end = a + TWO_PI * h
+            inside = ((a <= ang) & (ang <= end)) | ((ang < a) & (ang <= end - TWO_PI))
+            best = max(best, math.fsum(mas[inside]))
+        rho.append(best)
+    return np.array(rho)

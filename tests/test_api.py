@@ -16,7 +16,6 @@ MODULES = (grid, outer, symbols, weights, carleson, operators)
 # defaulted dataclass or NamedTuple field of a public class.  A new setting
 # is a deliberate edit here.
 SETTINGS = [
-    "grid.hardy_norm(p)",
     "outer.outer_from_modulus(strict)",
     "symbols.Symbol.analytic",
     "symbols.Symbol.log_modulus",
@@ -31,7 +30,6 @@ SETTINGS = [
     "carleson.pullback_graded(density_fn)",
     "carleson.pullback_graded(octaves)",
     "carleson.pullback_graded(per_octave)",
-    "carleson.annulus_mass(dyadic)",
     "operators.SingularSpectrum.source",
     "operators.SingularSpectrum.floor",
     "operators.hs_norm_boundary(phi_co)",

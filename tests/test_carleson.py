@@ -1,6 +1,5 @@
 """Pull-back measures, windows, boxes, profiles, box-counting sums."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -8,13 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardylab import carleson
-from hardylab.grid import make_grid
-from hardylab.symbols import beta_exp, half, hs_extremal, lens, level_sets
-from hardylab.weights import lens_decompact_weight, unit_weight
+from hardylab.grid import TWO_PI, make_grid
+from hardylab.symbols import beta_exp, half, hs_extremal, lens, level_sets, parse_symbol
+from hardylab.weights import lens_decompact_weight, parse_weight, unit_weight
 from hardylab.carleson import (
     DEEPEST_LEVEL,
-    HEAVY_CENTERS,
     PullbackMeasure,
     Series,
     _depth,
@@ -25,9 +22,9 @@ from hardylab.carleson import (
     luecking_sum,
     pullback,
     pullback_graded,
-    simp_bound,
-    window_mass,
 )
+
+from brute_force import arc_profile, dyadic_annulus_mass, window_mass
 
 
 def _uniform_circle_measure(n=2**10):
@@ -111,35 +108,37 @@ def test_graded_boundary_mass_exact():
 # ---------------------------------------------------------------- windows
 
 def test_window_mass_whole_disk():
+    # the level-0 arc is the whole circle: every atom counts once
     mu = _uniform_circle_measure()
-    assert abs(window_mass(mu, 1.0, 1.0) - mu.total_mass) < 1e-14
+    assert abs(carleson_profile(mu, 0, 1).rho[0] - mu.total_mass) < 1e-14
 
 
 def test_window_mass_excludes_shallow_atom():
+    # depth 0.1: inside the windows of size 1/8, outside those of 1/16 on
     mu = PullbackMeasure(np.array([0.9 + 0j]), np.array([1.0]))
-    assert window_mass(mu, 1.0, 0.05) == 0.0
+    assert carleson_profile(mu, 3, 5).rho.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_window_mass_lens_scaling():
-    # window masses at the contact point scale like h^{1/theta} = h^2
+    # window masses at the contact point scale like h^{1/theta} = h^2, and
+    # so does the heaviest window
     mu = pullback_graded(lens(0.5))
     ns = np.arange(4, 13)
-    masses = np.array([
-        window_mass(mu, 1.0, 2.0**-n) for n in ns
-    ])
-    slope = np.polyfit(np.log(2.0**-ns), np.log(masses), 1)[0]
-    assert abs(slope - 2.0) < 0.15
+    rho = carleson_profile(mu, 4, 12).rho
+    at_one = np.array([window_mass(mu, 1.0, 2.0**-n) for n in ns])
+    for masses in (rho, at_one):
+        slope = np.polyfit(np.log(2.0**-ns), np.log(masses), 1)[0]
+        assert abs(slope - 2.0) < 0.15
 
 
 @given(st.integers(min_value=1, max_value=10))
 @settings(max_examples=10, deadline=None)
 def test_window_nesting(n):
+    # an arc of half the length at depth <= h/2 lies in one of length 2 pi h
     g = make_grid(2**10)
     mu = pullback(beta_exp(2.0).trace(g), 1.0)
-    h = 2.0**-n
-    big = window_mass(mu, 1.0, h)
-    small = window_mass(mu, 1.0, h / 2)
-    assert small <= big + 1e-15
+    big, small = carleson_profile(mu, n, n + 1).rho
+    assert 0.0 < small <= big
 
 
 # ---------------------------------------------------------------- profile
@@ -161,39 +160,7 @@ def test_profile_monotone():
     g = make_grid(2**13)
     mu = pullback(beta_exp(2.0).trace(g), 1.0)
     rep = carleson_profile(mu, 1, 11)
-    assert np.all(np.diff(rep.rho) <= 1e-15)
-
-
-def _heavy_angles(mu):
-    """The profile's heavy centers: the heaviest atoms, ties to the later."""
-    order = np.lexsort((np.arange(mu.size), mu.masses))
-    return np.sort(mu.angles[order[-HEAVY_CENTERS:]])
-
-
-def _brute_profile(mu, n_lo, n_hi):
-    """Reference: per level, the atoms with depth <= h sorted by angle and
-    the closed arc masses over the profile's center set, summed directly."""
-    two_pi = 2.0 * np.pi
-    heavy = _heavy_angles(mu)
-    rho = []
-    for n in range(n_lo, n_hi + 1):
-        h = 2.0**-n
-        sel = _depth(mu) <= h
-        order = np.argsort(mu.angles[sel])
-        a, m = mu.angles[sel][order], mu.masses[sel][order]
-        n_roots = 1 << (n + 2)
-        centers = np.concatenate([two_pi * np.arange(n_roots) / n_roots, heavy])
-        best = 0.0
-        for c in centers:
-            lo, hi = c - np.pi * h, c + np.pi * h
-            if lo < 0.0:
-                lo, hi = lo + two_pi, hi + two_pi
-            # an atom counts once, even on both ends of the full-circle arc
-            inside = (((lo <= a) & (a <= hi))
-                      | ((lo <= a + two_pi) & (a + two_pi <= hi))).astype(float)
-            best = max(best, math.fsum(m * inside))
-        rho.append(best)
-    return np.array(rho)
+    assert np.all(np.diff(rep.rho) <= 0)
 
 
 def _profile_measures():
@@ -216,25 +183,29 @@ def _profile_measures():
     yield "shallow only", disk(0.8 * rng.random(k), t), True
     yield "rounded masses", PullbackMeasure(r * np.exp(1j * t_tied), rng.random(k)), False
     yield "empty", PullbackMeasure(np.zeros(0, dtype=complex), np.zeros(0)), True
-    # equal masses: by the tie rule the heavy centers are the last 64 atoms,
-    # and only the direction of atom 560, the middle of a deep triple set
-    # between two level-3 roots, catches the whole triple
+    # equal masses, and a deep triple 0.99 pi/8 apart: the arc of length
+    # pi/4 from its first atom holds it all
     loc = 0.1 * np.exp(1j * t)
     triple = np.pi / 32 + 0.99 * np.pi / 8 * np.arange(-1, 2)
     loc[559:562] = 0.99 * np.exp(1j * triple)
     yield "tied masses", PullbackMeasure(loc, np.full(k, 1 / 1024)), True
 
 
+def _assert_matches_arc_profile(rho, mu, n_lo, n_hi, exact):
+    ref = arc_profile(mu, n_lo, n_hi)
+    if exact:
+        assert np.array_equal(rho, ref)
+    else:
+        # the heaviest window is picked by prefix differences, which are
+        # off by up to K ulp of the total each way
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(rho - ref) <= 2 * mu.size * eps * mu.total_mass)
+
+
 @pytest.mark.parametrize("name, mu, exact", list(_profile_measures()))
 def test_profile_matches_brute_force(name, mu, exact):
     rep = carleson_profile(mu, 0, 9)
-    ref = _brute_profile(mu, 0, 9)
-    if exact:
-        assert np.array_equal(rep.rho, ref)
-    else:
-        # prefix sums over the doubled atom list, N ulp each way
-        eps = np.finfo(float).eps
-        assert np.all(np.abs(rep.rho - ref) <= 2 * mu.size * eps * mu.total_mass)
+    _assert_matches_arc_profile(rep.rho, mu, 0, 9, exact)
     if name == "shallow only":
         # depth >= 1/5: the levels from 3 on hold no atom
         assert np.all(rep.rho[3:] == 0.0) and rep.rho[2] > 0.0
@@ -245,26 +216,24 @@ def test_profile_matches_brute_force(name, mu, exact):
         assert rep.rho[0] == 1.0 and np.all(rep.rho[1:] == 0.0)
 
 
-def _every_root_profile(mu, n_lo, n_hi, chunk=1 << 16):
-    """Reference: per level, the arc masses of ``carleson._arc_masses`` on
-    all 2^{n+2} roots, in chunks, and on the heavy centers."""
-    two_pi = 2.0 * np.pi
-    heavy = _heavy_angles(mu)
-    rho = []
-    for n in range(n_lo, n_hi + 1):
-        h = 2.0**-n
-        sel = _depth(mu) <= h
-        order = np.argsort(mu.angles[sel], kind="stable")
-        a, m = mu.angles[sel][order], mu.masses[sel][order]
-        a_ext = np.concatenate([a, a + two_pi])
-        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([m, m]))])
-        n_roots = 1 << (n + 2)
-        roots = (two_pi * np.arange(start, min(start + chunk, n_roots)) / n_roots
-                 for start in range(0, n_roots, chunk))
-        rho.append(max(carleson._arc_masses(a_ext, prefix, c - np.pi * h,
-                                            c + np.pi * h).max(initial=0.0)
-                       for c in itertools.chain([heavy], roots)))
-    return np.array(rho)
+_EDGE_ANGLES = (0.0, np.nextafter(TWO_PI, 0.0), np.pi, np.nextafter(np.pi, 0.0))
+
+
+@given(st.lists(st.tuples(
+    st.one_of(st.sampled_from(_EDGE_ANGLES),
+              st.floats(0.0, TWO_PI, exclude_max=True)),
+    st.one_of(st.sampled_from((0.0, 0.5, 1.0 - 2.0**-7, 1.0)),
+              st.floats(0.0, 1.0)),
+    st.integers(1, 1023)), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_profile_is_the_sup_over_arcs(atoms):
+    # atoms at angle 0 and just below 2 pi, on the circle, at the origin,
+    # with tied angles (the edge list repeats), or none at all; lattice
+    # masses make every sum exact
+    t, r, m = (np.array(v, dtype=float) for v in zip(*atoms)) if atoms else \
+        (np.zeros(0),) * 3
+    mu = PullbackMeasure(r * np.exp(1j * t), m / 1024)
+    _assert_matches_arc_profile(carleson_profile(mu, 0, 12).rho, mu, 0, 12, True)
 
 
 def _sparse_measure(k=300, deepest=22):
@@ -276,91 +245,34 @@ def _sparse_measure(k=300, deepest=22):
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
-def test_entry_roots_match_every_root_on_lens_measures(theta):
+def test_profile_matches_brute_force_on_lens_measures(theta):
     mu = pullback_graded(lens(theta), per_octave=8)
-    assert np.array_equal(carleson_profile(mu, 1, 16).rho,
-                          _every_root_profile(mu, 1, 16))
+    _assert_matches_arc_profile(carleson_profile(mu, 1, 16).rho, mu, 1, 16, False)
 
 
-def test_entry_roots_match_every_root_on_a_sparse_measure():
+def test_profile_matches_brute_force_on_a_sparse_measure():
     mu = _sparse_measure()
     rho = carleson_profile(mu, 1, 20).rho
-    assert np.array_equal(rho, _every_root_profile(mu, 1, 20))
+    _assert_matches_arc_profile(rho, mu, 1, 20, False)
     assert rho[-1] > 0.0
 
 
-def test_entry_root_neighbors_cover_rounding_at_every_level():
-    # atoms a few ulp around the float window edge c_k + pi h of roots at
-    # both ends of the circle and in between: within +-8 roots of the
-    # computed entry k (+-2^n at levels 1 and 2, whose windows span a
-    # quarter and a half of the roots), the window first holds the atom at
-    # one of the roots that ``_entry_roots`` returns
-    rng = np.random.default_rng(5)
-    two_pi = 2.0 * np.pi
+def test_profile_reads_window_edges_at_every_level():
+    # deep unit atoms a few ulp around the far edge a + 2 pi h of arcs from
+    # atoms at both ends of the circle and in between, past 2 pi included:
+    # the profile decides each edge as the brute force does
     for n in range(1, DEEPEST_LEVEL + 1):
-        h, n_roots = 2.0**-n, 1 << (n + 2)
-        width = min(8, 1 << n)
-        ks = np.concatenate([[0, 1, 2, 3, n_roots - 3, n_roots - 2, n_roots - 1],
-                             rng.integers(0, n_roots, 8, dtype=np.int64)])
-        edge = (two_pi * ks / n_roots + np.pi * h) % two_pi
-        atoms = [0.0, np.nextafter(0.0, 1.0), np.nextafter(two_pi, 0.0), two_pi]
-        for e in edge:
-            for step in range(-3, 4):
-                a = e
-                for _ in range(abs(step)):
-                    a = np.nextafter(a, np.sign(step) * np.inf)
-                atoms.append(a % two_pi)
-        for a in atoms:
-            k = int(np.ceil((a - np.pi * h) / (two_pi / n_roots)))
-            near = (k + np.arange(-width, width + 1)) & (n_roots - 1)
-            c = two_pi * near / n_roots
-            inside = carleson._arc_masses(np.array([a, a + two_pi]),
-                                          np.array([0.0, 1.0, 2.0]),
-                                          c - np.pi * h, c + np.pi * h) > 0
-            entries = near[1:][inside[1:] & ~inside[:-1]]
-            assert entries.size == 1, (n, a)
-            assert entries[0] in carleson._entry_roots(np.array([a]), h, n_roots)
-
-
-def test_entry_roots_keep_root_two():
-    # a cluster of three atoms inside (0, 2s), s the level-10 root spacing,
-    # and unit atoms spread away from it: roots 0 and 1 read the cluster off
-    # the shifted prefix copy and round it below root 2's sum, and no atom
-    # enters at root 2, so only the walk's start holds the maximum
-    n = 10
-    s = 2 * np.pi / 2 ** (n + 2)
-    spread = 2 * np.pi * (np.arange(1000) + 0.5) / 1000
-    spread = spread[(spread > 5 * s) & (spread < 2 * np.pi - 3 * s)]
-    angles = np.concatenate([np.array([0.2, 0.5, 0.9]) * s, spread])
-    masses = np.concatenate([[1.1, 1.3, 1.3], np.ones(spread.size)])
-    mu = PullbackMeasure(np.exp(1j * angles), masses)
-    a_ext = np.concatenate([angles, angles + 2 * np.pi])
-    prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([masses, masses]))])
-    c = 2 * np.pi * np.arange(2 ** (n + 2)) / 2 ** (n + 2)
-    per_root = carleson._arc_masses(a_ext, prefix, c - np.pi * 2.0**-n,
-                                    c + np.pi * 2.0**-n)
-    assert np.flatnonzero(per_root == per_root.max()).tolist() == [2]
-    rho = carleson_profile(mu, n - 1, n).rho[-1]
-    assert rho == per_root[2] == _every_root_profile(mu, n, n)[0]
-
-
-def test_entry_roots_bound_the_centers_searched(monkeypatch):
-    mu = _sparse_measure()
-    searched = []
-    arc = carleson._arc_masses
-
-    def record(sorted_angles, prefix, lo, hi):
-        searched.append((sorted_angles.size // 2, lo.size))
-        return arc(sorted_angles, prefix, lo, hi)
-
-    monkeypatch.setattr(carleson, "_arc_masses", record)
-    carleson_profile(mu, 0, 20)
-    assert len(searched) == 21
-    for n, (kept, centers) in enumerate(searched):
-        assert kept == np.sum(_depth(mu) <= 2.0**-n)
-        if kept < 1 << (n + 2):
-            # three roots per atom, root 2 where the walk starts, heavy
-            assert centers <= 3 * kept + 1 + HEAVY_CENTERS
+        h = 2.0**-n
+        starts = np.array([0.0, 1.0, np.pi, TWO_PI - 0.5 * TWO_PI * h,
+                           np.nextafter(TWO_PI, 0.0)])
+        angles = [starts]
+        for a in starts:
+            edge = np.float64(a + TWO_PI * h)
+            angles.append((edge.view(np.int64) + np.arange(-3, 4)).view(np.float64))
+        t = np.concatenate(angles) % TWO_PI
+        mu = PullbackMeasure((1.0 - 2.0**-50) * np.exp(1j * t), np.ones(t.size))
+        rho = carleson_profile(mu, n - 1, n).rho
+        assert np.array_equal(rho, arc_profile(mu, n - 1, n)), n
 
 
 def test_profile_refuses_levels_beyond_the_deepest():
@@ -372,9 +284,9 @@ def test_profile_refuses_levels_beyond_the_deepest():
 
 def test_profile_sees_a_pair_between_level_18_roots():
     # two half-mass atoms at depth 2^-19, 0.1 pi 2^-18 either side of the
-    # point e halfway between two of the 2^18 level-16 roots: the level-18
-    # and level-19 windows that hold both are centered on their own finer
-    # roots; 64 heavier shallow atoms take every heavy center away
+    # point e halfway between two of the 2^18 level-16 roots: the arcs of
+    # levels 16 to 19 from the first atom hold both; the 64 heavier atoms
+    # at depth 0.95 lie outside every window of these levels
     e = 2 * np.pi * 12345 / 2**18 + np.pi * 2.0**-18
     pair = (1 - 2.0**-19) * np.exp(1j * (e + np.array([-1, 1]) * 0.1 * np.pi * 2.0**-18))
     shallow = 0.05 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
@@ -382,6 +294,72 @@ def test_profile_sees_a_pair_between_level_18_roots():
                          np.concatenate([[0.5, 0.5], np.ones(64)]))
     rep = carleson_profile(mu, 16, 19)
     assert np.array_equal(rep.rho, [1.0, 1.0, 1.0, 1.0])
+
+
+def _half_compactify(n, rotation=1.0):
+    """The pull-back measure of half with the compactify weight on 2^n
+    points, rotated by ``rotation``."""
+    phi, g = half(), make_grid(2**n)
+    w = parse_weight("compactify", phi, g, strict=True)
+    return pullback(g.samples(rotation * phi.trace(g).values), w.density())
+
+
+def test_profile_is_rotation_invariant():
+    # the supremum over all arcs does not depend on where angle 0 sits;
+    # rotating the atoms moves their angles and depths by a few ulp only
+    rho = [carleson_profile(_half_compactify(12, np.exp(1j * a)), 1, 12).rho
+           for a in (0.0, 0.1234, 2.5)]
+    for other in rho[1:]:
+        assert np.all(np.abs(other - rho[0]) <= 1e-11 * rho[0])
+
+
+def test_profile_reaches_the_level_3_supremum():
+    # level 3 of half/compactify on 2^19 points: the heaviest closed arc,
+    # found by searching every atom's arc end in the doubled angle list,
+    # summed directly at depth <= 1/8
+    mu = _half_compactify(19)
+    h = 2.0**-3
+    rho = carleson_profile(mu, 3, 4).rho[0]
+    kept = _depth(mu) <= h
+    ang, mas = mu.angles[kept], mu.masses[kept]
+    order = np.argsort(ang)
+    a = ang[order]
+    prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([mas[order]] * 2))])
+    right = np.searchsorted(np.concatenate([a, a + TWO_PI]), a + TWO_PI * h,
+                            side="right")
+    start = a[np.argmax(prefix[right] - prefix[:a.size])]
+    offset = (ang - start) % TWO_PI
+    direct = math.fsum(mas[offset <= TWO_PI * h])
+    assert abs(rho - direct) <= 1e-12 * direct
+
+
+def _benchmark_measures():
+    """The nine boundary recipes of the benchmark at N = 2^12, rotated, and
+    the graded lens measures with the unit and the HS density."""
+    rng = np.random.default_rng(0)
+    recipes = [("betaexp:0.5", "hs", True), ("betaexp:2", "staircase:default", True),
+               ("lens:0.5", "lensdecomp", True), ("lens:0.5", "boxdecomp", True),
+               ("hsx", "hs", False), ("extreme", "power:2", False),
+               ("extreme", "gauge", False), ("half", "compactify", True),
+               ("half", "unit", True)]
+    g = make_grid(2**12)
+    for spec, recipe, strict in recipes:
+        phi = parse_symbol(spec)
+        w = parse_weight(recipe, phi, g, strict=strict)
+        for rot in (1.0, np.exp(2j * np.pi * rng.random())):
+            yield f"{spec}/{recipe}", pullback(
+                g.samples(rot * phi.trace(g).values), w.density())
+    for theta in (0.3, 0.5, 0.7):
+        phi = parse_symbol(f"lens:{theta:g}")
+        for density_fn in (None, phi.co_modulus_of_angle):
+            yield f"lens:{theta:g}", pullback_graded(phi, density_fn, per_octave=8)
+
+
+@pytest.mark.parametrize("name, mu", list(_benchmark_measures()))
+def test_profile_monotone_and_bounded_without_slack(name, mu):
+    rho = carleson_profile(mu, 1, 16).rho
+    assert np.all(np.diff(rho) <= 0)
+    assert rho.max() <= mu.total_mass * (1 + 1e-9)
 
 
 def test_profile_lens_decompact_not_vanishing():
@@ -428,8 +406,7 @@ def test_luecking_convexity_per_level():
     for p in (0.5, 1.0, 1.5):
         rep = luecking_sum(nu, p, 11)
         for n in rep.series.indices:
-            level_total = 2.0 ** int(n) * annulus_mass(nu, 2.0 ** -int(n),
-                                                       dyadic=True)
+            level_total = 2.0 ** int(n) * dyadic_annulus_mass(nu, 2.0 ** -int(n))
             assert rep.per_level[n] >= level_total ** (p / 2.0) - 1e-12
 
 
@@ -558,7 +535,7 @@ def test_annulus_hs_extremal_band():
     products = []
     for n in range(6, 15):
         h = 2.0**-n
-        mass = annulus_mass(mu, h, dyadic=True)
+        mass = dyadic_annulus_mass(mu, h)
         products.append(mass * np.log(1 / h) * np.log(np.log(1 / h)) ** 2)
     products = np.array(products)
     assert products.max() / products.min() < 3.0
@@ -585,7 +562,7 @@ def test_box_partition_exactness():
             offset = np.angle(mu.locations[sel]
                               * np.exp(-2j * np.pi * box[sel] / 2**n))
             assert np.all(np.abs(offset) <= np.pi * h * (1.0 + 1e-12))
-            ann = annulus_mass(mu, h, dyadic=True)
+            ann = dyadic_annulus_mass(mu, h)
             assert abs(masses.sum() - ann) <= 1e-12 * max(ann, 1e-30)
 
 
@@ -595,7 +572,7 @@ def test_dilation_edge_atoms_stay_in_corona_one():
     # windows all count them on the closed side of depth 1/2
     g = make_grid(2**10)
     mu = pullback(g.samples(g.points / 2), 1.0)
-    assert abs(annulus_mass(mu, 0.5, dyadic=True) - 1.0) < 1e-14
+    assert abs(dyadic_annulus_mass(mu, 0.5) - 1.0) < 1e-14
     level, box = dyadic_boxes(mu, 8)
     assert np.all(level == 1)
     masses = np.bincount(box, weights=mu.masses, minlength=2)
@@ -609,8 +586,8 @@ def test_windows_closed_at_the_depth_edge():
     # the guard puts |z| = 1/2 - 2 ulp at depth exactly 1/2, on the closed
     # edge of the size-1/2 window and of its dyadic annulus
     mu = PullbackMeasure(np.array([0.4999999999999998 + 0j]), np.array([1.0]))
-    assert window_mass(mu, 1.0, 0.5) == 1.0
-    assert annulus_mass(mu, 0.5, dyadic=True) == 1.0
+    assert carleson_profile(mu, 1, 2).rho.tolist() == [1.0, 0.0]
+    assert dyadic_annulus_mass(mu, 0.5) == 1.0
 
 
 def test_corona_levels_match_dyadic_annuli_at_the_edges():
@@ -623,34 +600,4 @@ def test_corona_levels_match_dyadic_annuli_at_the_edges():
     level, _ = dyadic_boxes(mu, 50)
     assert np.all(level >= 0)
     for m in range(51):
-        assert np.sum(level == m) == annulus_mass(mu, 2.0**-m, dyadic=True)
-
-
-# ---------------------------------------------------------------- simp
-
-def test_simp_bound_zero_measure():
-    mu = PullbackMeasure(np.zeros(1, complex), np.zeros(1))
-    rep = carleson_profile(mu, 3, 10)
-    assert abs(simp_bound(5, rep) - np.exp(-5 * 2.0**-3)) < 1e-14
-
-
-def test_simp_bound_arc_measure_no_decay():
-    mu = _uniform_circle_measure(2**12)
-    rep = carleson_profile(mu, 2, 10)
-    for n in (4, 64, 1024):
-        assert simp_bound(n, rep) >= np.sqrt(rep.ratio.min()) - 0.05
-
-
-def test_simp_bound_decreases_for_compact_case():
-    # a dyadic staircase crushes the window ratios fast enough for the
-    # bound to drop by well over 10x between n = 16 and n = 256
-    from hardylab.symbols import level_sets
-    from hardylab.weights import staircase_weight
-
-    g = make_grid(2**13)
-    phi = beta_exp(2.0)
-    ls = level_sets(phi, g, 11)
-    w, _ = staircase_weight(ls, 2.0 ** -np.arange(1, 12))
-    nu = pullback(phi.trace(g), w.density())
-    rep = carleson_profile(nu, 2, 11)
-    assert simp_bound(256, rep) * 10 <= simp_bound(16, rep)
+        assert np.sum(level == m) == dyadic_annulus_mass(mu, 2.0**-m)

@@ -1,4 +1,4 @@
-"""Grid construction, quadrature, coefficient extraction, Hardy norms."""
+"""Grid construction, quadrature, coefficient extraction, log integrals."""
 
 import tracemalloc
 from dataclasses import fields
@@ -12,11 +12,10 @@ from hardylab.grid import (
     TWO_PI,
     BoundaryGrid,
     GridError,
-    hardy_norm,
+    coefficients_from_fft,
     log_integral,
     make_grid,
     quadrature,
-    taylor_coefficients,
 )
 from hardylab.operators import operator_matrix
 from hardylab.outer import outer_from_modulus
@@ -119,12 +118,17 @@ def test_quadrature_abs_one_plus_z():
     assert abs(val - 4 / np.pi) < 1e-6
 
 
+def _taylor(f, m):
+    """c_0..c_m of the boundary samples f, by one FFT."""
+    return coefficients_from_fft(np.fft.fft(f.values), m, f.grid.size)
+
+
 def test_taylor_constant_and_monomials():
     g = make_grid(64)
-    c = taylor_coefficients(g.samples(np.ones(64)), 10)
+    c = _taylor(g.samples(np.ones(64)), 10)
     assert np.allclose(c, np.eye(11)[0], atol=1e-14)
     for k in (1, 5, 20):
-        c = taylor_coefficients(g.samples(g.points**k), 25)
+        c = _taylor(g.samples(g.points**k), 25)
         expected = np.zeros(26)
         expected[k] = 1.0
         assert np.allclose(c, expected, atol=1e-13)
@@ -133,37 +137,10 @@ def test_taylor_constant_and_monomials():
 def test_taylor_geometric_series():
     g = make_grid(256)
     f = g.samples(1.0 / (1.0 - g.points / 2))
-    c = taylor_coefficients(f, 40)
+    c = _taylor(f, 40)
     n = np.arange(41)
     # closed-form oracle 2^-n with the documented aliasing slack
     assert np.all(np.abs(c - 2.0**-n) <= 2.0 ** (-256 / 2 + n) + 1e-15)
-
-
-def test_taylor_aliasing_guard():
-    g = make_grid(64)
-    with pytest.raises(GridError):
-        taylor_coefficients(g.samples(np.ones(64)), 32)
-
-
-def test_hardy_norm_constant():
-    g = make_grid(64)
-    for p in (1.0, 2.0, 3.5):
-        assert abs(hardy_norm(g.samples(np.full(64, 2.5 + 0j)), p) - 2.5) < 1e-12
-
-
-def test_hardy_norm_one_plus_z():
-    g = make_grid(4096)
-    f = g.samples(1.0 + g.points)
-    assert abs(hardy_norm(f, 2.0) - np.sqrt(2)) < 1e-8
-    oracle, _ = quad(lambda t: abs(1 + np.exp(1j * t)) / (2 * np.pi), 0,
-                     2 * np.pi)
-    assert abs(hardy_norm(f, 1.0) - oracle) < 1e-6
-
-
-def test_hardy_norm_rejects_small_p():
-    g = make_grid(8)
-    with pytest.raises(ValueError):
-        hardy_norm(g.samples(np.ones(8)), 0.5)
 
 
 def test_parseval():
@@ -172,8 +149,8 @@ def test_parseval():
     coeffs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     f = g.samples(np.polynomial.polynomial.polyval(g.points, coeffs))
     m = 40
-    c = taylor_coefficients(f, m)
-    norm_sq = hardy_norm(f, 2.0) ** 2
+    c = _taylor(f, m)
+    norm_sq = quadrature(g.samples(np.abs(f.values) ** 2)).real
     assert abs(norm_sq - np.sum(np.abs(c) ** 2)) < 1e-12 * norm_sq
 
 
