@@ -1,16 +1,24 @@
-"""Outer functions and Herglotz transforms built from boundary data.
+"""Outer functions: the one analytic completion of boundary log-data.
 
-One rule turns real boundary samples u on an N-point grid into an analytic
-function U with Re U* = u: the boundary trace is u + i*Hu, with H the
+An :class:`OuterFunction` is the only object built from real boundary
+log-modulus samples u on an N-point grid.  It is f = exp(U), U the Herglotz
+function of u: the boundary trace of U is u + i*Hu, with H the
 conjugate-function multiplier -i*sign(k) on the discrete spectrum, and the
 interior value is the Taylor series of that same trace,
 U(z) = c_0 + 2 sum_{0<k<N/2} c_k z^k, with c_k the DFT coefficients of u.
 This is the Poisson integral of the trigonometric interpolant of u (its
 Nyquist term dropped), so interior values meet the trace as |z| -> 1.  It
 differs from the transform of the function that was sampled by the aliasing
-of the c_k and by the tail k >= N/2 of the exact series.  An outer function
-is exp(U) with u its log-modulus; its boundary modulus equals the
-prescribed one at the grid points.
+of the c_k and by the tail k >= N/2 of the exact series.  The boundary
+modulus of f equals exp(u) at the grid points.
+
+Whether u is integrable decides whether f exists.  The verdict is
+``OuterFunction.log_divergent``, and a divergent outer function keeps its
+modulus (trace with flat phase) but refuses interior values.  Refusing to
+build one has one error, :class:`NotLogIntegrableError`, raised in two
+places: :func:`outer_from_modulus` always, and
+:func:`hardylab.weights.parse_weight` when ``strict``.  Weight recipes never
+refuse; their weights carry the verdict.
 
 The data are real, so every transform here is a real FFT: H u is
 irfft(-i*sign(k) * rfft(u), N), and c_0..c_{N/2-1} are read from rfft(u).
@@ -30,10 +38,7 @@ from .grid import BoundaryGrid, BoundarySamples, coefficients_from_fft, refined_
 
 __all__ = [
     "NotLogIntegrableError",
-    "HerglotzFunction",
     "OuterFunction",
-    "hilbert_transform",
-    "herglotz_map",
     "outer_from_modulus",
 ]
 
@@ -42,21 +47,15 @@ class NotLogIntegrableError(ValueError):
     """The prescribed boundary modulus is not log-integrable."""
 
 
-def hilbert_transform(values: np.ndarray) -> np.ndarray:
-    """Discrete conjugate function: multiplier -i*sign(k) on the spectrum.
-
-    The mean and, for even N, the Nyquist coefficient are dropped, so the
-    result has zero mean and real input gives real output.  Complex input
-    is transformed as H(Re v) + i*H(Im v).
-    """
-    v = np.asarray(values)
-    if np.iscomplexobj(v):
-        return hilbert_transform(v.real) + 1j * hilbert_transform(v.imag)
-    n = v.shape[-1]
-    spec = np.fft.rfft(v)
-    spec[..., 0] = 0.0
+def _hilbert_transform(values: np.ndarray) -> np.ndarray:
+    """Discrete conjugate function of real samples: multiplier -i*sign(k)
+    on the spectrum, with the mean and, for even N, the Nyquist coefficient
+    dropped, so the result is real with zero mean."""
+    n = len(values)
+    spec = np.fft.rfft(values)
+    spec[0] = 0.0
     if n % 2 == 0:
-        spec[..., -1] = 0.0
+        spec[-1] = 0.0
     spec *= -1j
     return np.fft.irfft(spec, n)
 
@@ -66,7 +65,7 @@ def _taylor_series(blocks: np.ndarray, z):
     by Horner's rule in z^B over the Q rows of B coefficients."""
     zz = np.asarray(z, dtype=complex)
     if np.any(np.abs(zz) >= 1.0):
-        raise ValueError("Herglotz evaluation requires |z| < 1")
+        raise ValueError("interior evaluation requires |z| < 1")
     b = blocks.shape[1]
     flat = zz.ravel()
     out = np.empty(flat.shape, dtype=complex)
@@ -88,36 +87,6 @@ def _refuse_interior(z):
 
 
 @dataclass(frozen=True)
-class HerglotzFunction:
-    """Analytic map U with Re U* = data, built from real boundary samples.
-
-    The boundary trace is data + i*H data.  The interior value is the Taylor
-    series of that trace, c_0 + 2 sum_{0<k<N/2} c_k z^k, summed by Horner's
-    rule in z^B over blocks of B coefficients.  Re U(z) is the Poisson
-    integral of the trigonometric interpolant of the data, not of the
-    samples, so nonnegative data give Re U >= 0 only as far as the
-    interpolant does not undershoot between samples.
-    """
-
-    grid: BoundaryGrid
-    data: np.ndarray
-
-    @cached_property
-    def _blocks(self) -> np.ndarray:
-        """c_0, 2c_1, ..., 2c_{N/2-1} as Q rows of B = 2^floor(log2(N)/2)."""
-        n = int(self.grid.size)
-        c = coefficients_from_fft(np.fft.rfft(self.data), n // 2 - 1, n)
-        c[1:] *= 2.0
-        return c.reshape(-1, 1 << (n.bit_length() - 1) // 2)
-
-    def __call__(self, z):
-        return _taylor_series(self._blocks, z)
-
-    def boundary(self) -> BoundarySamples:
-        return self.grid.samples(self.data + 1j * hilbert_transform(self.data))
-
-
-@dataclass(frozen=True)
 class OuterFunction:
     """Outer function exp(U), U the Herglotz function of log-modulus samples.
 
@@ -126,7 +95,8 @@ class OuterFunction:
     still gives a valid boundary modulus (all measure-level diagnostics
     remain meaningful), but no analytic function has it: interior
     evaluation is refused and the boundary trace is the modulus with flat
-    phase.
+    phase.  Interior values sum the Taylor series of U by Horner's rule in
+    z^B over blocks of B coefficients.
     """
 
     grid: BoundaryGrid
@@ -137,8 +107,12 @@ class OuterFunction:
         return refined_mean(self.log_modulus).divergent
 
     @cached_property
-    def _herglotz(self) -> HerglotzFunction:
-        return HerglotzFunction(self.grid, self.log_modulus)
+    def _blocks(self) -> np.ndarray:
+        """c_0, 2c_1, ..., 2c_{N/2-1} of U as Q rows of B = 2^floor(log2(N)/2)."""
+        n = int(self.grid.size)
+        c = coefficients_from_fft(np.fft.rfft(self.log_modulus), n // 2 - 1, n)
+        c[1:] *= 2.0
+        return c.reshape(-1, 1 << (n.bit_length() - 1) // 2)
 
     def interior(self) -> Callable:
         """The evaluator z -> exp(U(z)).  It holds the N/2 Taylor
@@ -146,7 +120,7 @@ class OuterFunction:
         refuses every call when the log-modulus is not integrable."""
         if self.log_divergent:
             return _refuse_interior
-        blocks = self._herglotz._blocks
+        blocks = self._blocks
         return lambda z: np.exp(_taylor_series(blocks, z))
 
     def __call__(self, z):
@@ -156,37 +130,24 @@ class OuterFunction:
         return self.grid.samples(np.exp(self.log_modulus))
 
     def boundary(self) -> BoundarySamples:
+        """exp(u + i*Hu); the modulus with flat phase when divergent, which
+        every |w|-only diagnostic treats identically."""
         if self.log_divergent:
-            # No analytic completion exists; return the modulus with flat
-            # phase, which every |w|-only diagnostic treats identically.
             return self.boundary_modulus()
-        return self.grid.samples(np.exp(self._herglotz.boundary().values))
+        u = self.log_modulus
+        return self.grid.samples(np.exp(u + 1j * _hilbert_transform(u)))
 
 
-def herglotz_map(u: BoundarySamples) -> HerglotzFunction:
-    """Herglotz function of nonnegative samples.
-
-    It maps the disk into {Re >= 0} as far as the samples' trigonometric
-    interpolant stays nonnegative.
-    """
-    data = np.asarray(u.values, dtype=float)
-    if np.any(data < 0):
-        raise ValueError("herglotz_map expects nonnegative real samples")
-    return HerglotzFunction(u.grid, data)
-
-
-def outer_from_modulus(u: BoundarySamples, strict: bool = True) -> OuterFunction:
+def outer_from_modulus(u: BoundarySamples) -> OuterFunction:
     """Outer function with |w*| = u at the grid points.
 
-    With ``strict`` (default) a modulus whose log is not integrable raises
-    :class:`NotLogIntegrableError`; otherwise the result carries the verdict
-    as ``log_divergent``.
+    Raises :class:`NotLogIntegrableError` when log u is not integrable.
     """
     vals = np.asarray(u.values, dtype=float)
     if np.any(vals < 0) or np.any(~np.isfinite(vals)):
         raise ValueError("modulus samples must be finite and nonnegative")
     with np.errstate(divide="ignore"):
         outer = OuterFunction(u.grid, np.log(vals))
-    if strict and outer.log_divergent:
+    if outer.log_divergent:
         raise NotLogIntegrableError("not log-integrable")
     return outer

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TWO_PI, BoundaryGrid, BoundarySamples, GridError, make_grid
+from .grid import TWO_PI, BoundaryGrid, BoundarySamples, make_grid
 from .outer import OuterFunction
 
 __all__ = [
@@ -85,16 +85,9 @@ class Symbol:
         # interior evaluators of an outer-type symbol, by reference size
         object.__setattr__(self, "_interior", {})
 
-    def modulus_of_angle(self, t):
-        """|phi*(e^{it})| for signed angles t in (-pi, pi]."""
-        return 1.0 - self.co_modulus_of_angle(t)
-
     def co_modulus_of_angle(self, t):
         """1 - |phi*(e^{it})|, computed cancellation-free."""
         return self.co(np.asarray(t, dtype=float))
-
-    def modulus(self, grid: BoundaryGrid) -> BoundarySamples:
-        return grid.samples(self.modulus_of_angle(grid.signed_angles()))
 
     def co_modulus(self, grid: BoundaryGrid) -> BoundarySamples:
         """Samples of 1 - |phi*| at the grid angles, cancellation-free."""
@@ -317,38 +310,18 @@ class LevelSets:
         return self.level_index >= k
 
 
-def level_sets(phi: Symbol, grid: BoundaryGrid, k_max: int | None = None,
-               thresholds=None) -> LevelSets:
+def level_sets(phi: Symbol, grid: BoundaryGrid) -> LevelSets:
     """Compute level-set masses of a symbol on the grid.
 
-    Dyadic thresholds h_k = 2^{-k} by default; pass explicit decreasing
-    ``thresholds`` (h_0 = 1 first) for non-dyadic schedules.  The guard
-    k_max <= log2(N) - 2 keeps at least four samples per resolvable set.
+    Dyadic thresholds h_k = 2^{-k}, k = 0..log2(N) - 2: the resolution cap
+    keeps at least four samples per resolvable set.
     """
     n = grid.size
-    resolution_cap = int(np.log2(n)) - 2
-    if thresholds is None:
-        if k_max is None:
-            k_max = resolution_cap
-        if k_max > resolution_cap:
-            raise GridError(
-                f"k_max={k_max} beyond resolution guard {resolution_cap}"
-            )
-        thresholds = 2.0 ** -np.arange(k_max + 1)
-    else:
-        thresholds = np.asarray(thresholds, dtype=float)
-        if thresholds[0] != 1.0 or not np.all(np.diff(thresholds) < 0):
-            raise ValueError("thresholds must start at 1 and strictly decrease")
-        if len(thresholds) - 1 > resolution_cap:
-            raise GridError(
-                f"{len(thresholds) - 1} levels beyond resolution guard "
-                f"{resolution_cap}"
-            )
-
+    k_top = int(np.log2(n)) - 2
+    thresholds = 2.0 ** -np.arange(k_top + 1)
     co = phi.co_modulus(grid).values
     # the h_k decrease, so co < h_k holds for k = 1..level and no further:
     # level counts the h_k (k >= 1) above co; NaN is above none
-    k_top = len(thresholds) - 1
     level = np.subtract(k_top, np.searchsorted(thresholds[:0:-1], co,
                                                side="right"), dtype=np.int8)
     counts = np.bincount(level, minlength=k_top + 1)

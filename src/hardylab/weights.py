@@ -8,10 +8,13 @@ report the series they keep summable as a :class:`hardylab.carleson.Series`.
 The outer function decides whether the prescribed modulus is
 log-integrable (:attr:`hardylab.outer.OuterFunction.log_divergent`).  A
 weight whose modulus is not (the recipe target vanishes too hard) cannot be
-completed to an analytic function: strict recipes raise, and with
-``strict=False`` the recipe returns the boundary modulus with flat phase,
-which is all the measure-level diagnostics ever read: the singular values
-of the weighted composition operator depend on |w*| only.
+completed to an analytic function.  No recipe refuses it: the weight
+carries the verdict and its trace is the boundary modulus with flat phase,
+which is all the measure-level diagnostics ever read, since the singular
+values of the weighted composition operator depend on |w*| only.  The one
+place that refuses is :func:`parse_weight` with ``strict``, which raises
+:class:`hardylab.outer.NotLogIntegrableError`; :class:`WeightError` is
+kept for a recipe's other preconditions.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .grid import BoundaryGrid, BoundarySamples
-from .outer import OuterFunction
+from .outer import NotLogIntegrableError, OuterFunction
 from .symbols import LevelSets, Symbol, lens, level_sets
 from .carleson import Series, dyadic_boxes, pullback
 
@@ -92,10 +95,8 @@ class Weight:
 
 
 def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
-            log_modulus: np.ndarray, strict: bool) -> Weight:
+            log_modulus: np.ndarray) -> Weight:
     outer = OuterFunction(grid, log_modulus)
-    if strict and outer.log_divergent:
-        raise WeightError(f"{name}: divergent log-integral")
     return Weight(
         name=name,
         modulus=grid.samples(modulus),
@@ -119,14 +120,13 @@ def unit_weight(grid: BoundaryGrid) -> Weight:
     )
 
 
-def hs_weight(phi: Symbol, grid: BoundaryGrid, strict: bool = True) -> Weight:
+def hs_weight(phi: Symbol, grid: BoundaryGrid) -> Weight:
     """Outer weight with |w*|^2 = 1 - |phi*| pointwise at the grid angles.
 
-    This is :func:`power_weight` at K = 1/2, named "hs".  Raises "divergent
-    log-integral" when log(1 - |phi*|) is not integrable, unless
-    ``strict=False``.
+    This is :func:`power_weight` at K = 1/2, named "hs"; it is
+    ``log_divergent`` when log(1 - |phi*|) is not integrable.
     """
-    return _co_power("hs", phi.co_modulus(grid), 0.5, strict)
+    return _co_power("hs", phi.co_modulus(grid), 0.5)
 
 
 def default_gauge(t):
@@ -135,8 +135,7 @@ def default_gauge(t):
     return np.maximum(2.0, np.log(2.0 + np.log(1.0 / inner)))
 
 
-def power_weight(phi: Symbol, grid: BoundaryGrid, exponent=2.0,
-                 strict: bool = True) -> Weight:
+def power_weight(phi: Symbol, grid: BoundaryGrid, exponent) -> Weight:
     """Weight with |w*| = (1 - |phi*|)^K, or gauge form (1-|phi*|)^{g(|phi*|)}.
 
     ``exponent`` is a constant K >= 0 (K = 0 passes the unit weight
@@ -147,22 +146,22 @@ def power_weight(phi: Symbol, grid: BoundaryGrid, exponent=2.0,
         expo = np.asarray(exponent(1.0 - co.values), dtype=float)
         if np.any(expo < 1.0):
             raise WeightError("gauge values must be >= 1")
-        return _co_power("gauge", co, expo, strict)
+        return _co_power("gauge", co, expo)
     expo = float(exponent)
     if expo < 0:
         raise WeightError("power exponent must be >= 0")
     if expo == 0.0:
         return unit_weight(co.grid)
-    return _co_power(f"power:{expo:g}", co, expo, strict)
+    return _co_power(f"power:{expo:g}", co, expo)
 
 
-def _co_power(name: str, co: BoundarySamples, expo, strict: bool) -> Weight:
+def _co_power(name: str, co: BoundarySamples, expo) -> Weight:
     """Weight with |w*| = co^expo, co the samples of 1 - |phi*|."""
     with np.errstate(divide="ignore", invalid="ignore"):
         modulus = co.values**expo
         log_modulus = expo * np.log(co.values)
     log_modulus = np.where(np.isnan(log_modulus), -np.inf, log_modulus)
-    return _finish(name, co.grid, modulus, log_modulus, strict)
+    return _finish(name, co.grid, modulus, log_modulus)
 
 
 @dataclass(frozen=True)
@@ -176,8 +175,7 @@ class CompactifySchedule:
 def _step_weight(name: str, levels: LevelSets, log_steps: np.ndarray) -> Weight:
     """Weight with log|w*| = log_steps[0] + ... + log_steps[k] on level k."""
     log_modulus = np.cumsum(log_steps)[levels.level_index]
-    return _finish(name, levels.grid, np.exp(log_modulus), log_modulus,
-                   strict=True)
+    return _finish(name, levels.grid, np.exp(log_modulus), log_modulus)
 
 
 def compactify_weight(levels: LevelSets):
@@ -332,7 +330,7 @@ def box_decompact_weight(phi: Symbol, grid: BoundaryGrid):
         raise WeightError("norm below one: no corona holds an atom")
 
     log_modulus = 0.5 * np.log(u)
-    weight = _finish("boxdecomp", grid, np.sqrt(u), log_modulus, strict=True)
+    weight = _finish("boxdecomp", grid, np.sqrt(u), log_modulus)
     boxes = BoxSelection(
         ks=np.array(ks, dtype=np.int64),
         box_index=np.array(idxs, dtype=np.int64),
@@ -344,27 +342,28 @@ def box_decompact_weight(phi: Symbol, grid: BoundaryGrid):
 
 
 def parse_weight(spec: str, phi: Symbol, grid: BoundaryGrid,
-                 strict: bool = True):
+                 strict: bool = True) -> Weight:
     """Build a recipe weight from its CLI name.
 
     Accepted forms: ``unit``, ``hs``, ``power:K``, ``gauge``,
     ``compactify``, ``staircase:default``, ``staircase:<csv-file>``,
     ``lensdecomp``, ``boxdecomp``.  Recipes that also produce a report
-    object return only the weight here.
+    object return only the weight here.  With ``strict`` (default) a
+    ``log_divergent`` weight raises :class:`NotLogIntegrableError`.
     """
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
     if name == "unit":
-        return unit_weight(grid)
-    if name == "hs":
-        return hs_weight(phi, grid, strict=strict)
-    if name == "power":
-        return power_weight(phi, grid, float(arg), strict=strict)
-    if name == "gauge":
-        return power_weight(phi, grid, default_gauge, strict=strict)
-    if name == "compactify":
-        return compactify_weight(level_sets(phi, grid))[0]
-    if name == "staircase":
+        w = unit_weight(grid)
+    elif name == "hs":
+        w = hs_weight(phi, grid)
+    elif name == "power":
+        w = power_weight(phi, grid, float(arg))
+    elif name == "gauge":
+        w = power_weight(phi, grid, default_gauge)
+    elif name == "compactify":
+        w = compactify_weight(level_sets(phi, grid))[0]
+    elif name == "staircase":
         levels = level_sets(phi, grid)
         if arg in ("", "default"):
             if phi.kind != "betaexp":
@@ -374,11 +373,15 @@ def parse_weight(spec: str, phi: Symbol, grid: BoundaryGrid,
             delta = stretched_staircase_delta(phi.params[0], levels.k_max)
         else:
             delta = np.loadtxt(arg, delimiter=",", dtype=float, ndmin=1)
-        return staircase_weight(levels, delta)[0]
-    if name == "lensdecomp":
+        w = staircase_weight(levels, delta)[0]
+    elif name == "lensdecomp":
         if phi.kind != "lens":
             raise WeightError("lensdecomp needs a lens symbol")
-        return lens_decompact_weight(phi.params[0], grid)
-    if name == "boxdecomp":
-        return box_decompact_weight(phi, grid)[0]
-    raise ValueError(f"unknown weight spec {spec!r}")
+        w = lens_decompact_weight(phi.params[0], grid)
+    elif name == "boxdecomp":
+        w = box_decompact_weight(phi, grid)[0]
+    else:
+        raise ValueError(f"unknown weight spec {spec!r}")
+    if strict and w.log_divergent:
+        raise NotLogIntegrableError(f"{w.name}: divergent log-integral")
+    return w

@@ -16,14 +16,8 @@ MODULES = (grid, outer, symbols, weights, carleson, operators)
 # defaulted dataclass or NamedTuple field of a public class.  A new setting
 # is a deliberate edit here.
 SETTINGS = [
-    "outer.outer_from_modulus(strict)",
     "symbols.Symbol.analytic",
     "symbols.Symbol.log_modulus",
-    "symbols.level_sets(k_max)",
-    "symbols.level_sets(thresholds)",
-    "weights.hs_weight(strict)",
-    "weights.power_weight(exponent)",
-    "weights.power_weight(strict)",
     "weights.parse_weight(strict)",
     "carleson.graded_boundary(octaves)",
     "carleson.graded_boundary(per_octave)",

@@ -18,7 +18,7 @@ from hardylab.grid import (
     quadrature,
 )
 from hardylab.operators import operator_matrix
-from hardylab.outer import outer_from_modulus
+from hardylab.outer import NotLogIntegrableError, outer_from_modulus
 from hardylab.symbols import custom_outer, extreme_not_exposed
 from hardylab.weights import hs_weight, unit_weight
 
@@ -196,12 +196,13 @@ def test_one_divergence_rule(n):
     t = np.abs(g.signed_angles())
     lin = t / np.pi
     assert not log_integral(g.samples(lin)).divergent
-    assert not outer_from_modulus(g.samples(lin), strict=False).log_divergent
+    assert not outer_from_modulus(g.samples(lin)).log_divergent
     # |w*|^2 = 1 - |phi*| = |t|/pi, phi the outer symbol of that table
     phi = custom_outer(g.signed_angles(), 1.0 - lin)
-    assert not hs_weight(phi, g, strict=False).log_divergent
+    assert not hs_weight(phi, g).log_divergent
     cusp = np.exp(-1.0 / t)
     assert log_integral(g.samples(cusp)).divergent
-    assert outer_from_modulus(g.samples(cusp), strict=False).log_divergent
+    with pytest.raises(NotLogIntegrableError):
+        outer_from_modulus(g.samples(cusp))
     # extreme_not_exposed has 1 - |phi*| = e^{-1/|t|} in closed form
-    assert hs_weight(extreme_not_exposed(), g, strict=False).log_divergent
+    assert hs_weight(extreme_not_exposed(), g).log_divergent

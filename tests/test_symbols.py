@@ -7,7 +7,9 @@ import pytest
 
 from hardylab.grid import make_grid, log_integral
 from hardylab.symbols import (
+    REFERENCE_MAX,
     Symbol,
+    _reference_size,
     beta_exp,
     constant,
     custom_outer,
@@ -18,7 +20,6 @@ from hardylab.symbols import (
     level_sets,
     parse_symbol,
 )
-from hardylab.grid import GridError
 
 
 def _lattice(radius=0.999, n_r=10, n_t=100):
@@ -56,10 +57,10 @@ def test_lens_self_map(theta):
 def test_lens_trace_inside_disk():
     g = make_grid(2**12)
     phi = lens(0.5)
-    tr, mod = phi.trace(g), phi.modulus(g)
+    tr, mod = phi.trace(g), 1.0 - phi.co_modulus(g).values
     assert np.all(np.abs(tr.values) < 1.0)
-    assert np.all(mod.values < 1.0)
-    assert np.allclose(np.abs(tr.values), mod.values, atol=1e-14)
+    assert np.all(mod < 1.0)
+    assert np.allclose(np.abs(tr.values), mod, atol=1e-14)
 
 
 def test_lens_rejects_bad_theta():
@@ -74,9 +75,9 @@ def test_half_basics():
     phi = half()
     assert phi(0.0) == 0.5
     g = make_grid(256)
-    tr, mod = phi.trace(g), phi.modulus(g)
+    tr, mod = phi.trace(g), 1.0 - phi.co_modulus(g).values
     assert np.allclose(tr.values, (1 + g.points) / 2, atol=1e-15)
-    assert np.allclose(mod.values, np.abs(np.cos(g.angles / 2)), atol=1e-14)
+    assert np.allclose(mod, np.abs(np.cos(g.angles / 2)), atol=1e-14)
 
 
 def test_half_sup_approaches_one():
@@ -91,13 +92,14 @@ def test_half_sup_approaches_one():
 
 def test_beta_exp_modulus_at_pi():
     for beta in (0.5, 1.0, 2.0):
-        assert abs(beta_exp(beta).modulus_of_angle(np.pi) - np.exp(-1)) < 1e-14
+        assert abs(1.0 - beta_exp(beta).co_modulus_of_angle(np.pi)
+                   - np.exp(-1)) < 1e-14
 
 
 def test_beta_exp_level_mass_rate():
     # c_k drops like 2^{-k/beta}
     g = make_grid(2**14)
-    ls = level_sets(beta_exp(2.0), g, 12)
+    ls = level_sets(beta_exp(2.0), g)
     k = np.arange(4, 13)
     slope = np.polyfit(k, np.log2(ls.masses[4:13]), 1)[0]
     assert abs(slope + 0.5) < 0.1
@@ -107,7 +109,7 @@ def test_beta_two_matches_half_map_scale():
     # the beta=2 modulus at the rescaled angle t/sqrt(2) tracks |cos(t/2)|:
     # exp(-sin^2(t/(2 sqrt 2))) >= cos(t/2) - 1e-2 for |t| <= 1
     t = np.linspace(-1, 1, 201)
-    lhs = beta_exp(2.0).modulus_of_angle(t / np.sqrt(2))
+    lhs = 1.0 - beta_exp(2.0).co_modulus_of_angle(t / np.sqrt(2))
     assert np.all(lhs >= np.cos(t / 2) - 1e-2)
 
 
@@ -120,10 +122,10 @@ def test_beta_exp_self_map():
 def test_beta_exp_trace_modulus_closed_form():
     g = make_grid(2**12)
     phi = beta_exp(1.5)
-    tr, mod = phi.trace(g), phi.modulus(g)
+    tr, mod = phi.trace(g), 1.0 - phi.co_modulus(g).values
     t = g.signed_angles()
     expected = np.exp(-np.abs(np.sin(t / 2)) ** 1.5)
-    assert np.allclose(mod.values, expected, rtol=1e-14)
+    assert np.allclose(mod, expected, rtol=1e-14)
     assert np.allclose(np.abs(tr.values), expected, rtol=1e-12)
 
 
@@ -136,7 +138,7 @@ def test_beta_exp_interior_matches_trace_away_from_contact():
     n = 2**13
     g = make_grid(n)
     phi = beta_exp(2.0)
-    w = outer_from_modulus(phi.modulus(g))
+    w = outer_from_modulus(g.samples(1.0 - phi.co_modulus(g).values))
     t = g.signed_angles()
     sel = np.abs(t) > 1e-2
     probe = (1.0 - 8.0 / n) * g.points[sel][::64]
@@ -178,6 +180,17 @@ def test_outer_symbol_refuses_radius_beyond_reference_grid(make):
         phi(np.array([0.5, 0.99999j]))
     with pytest.raises(ValueError, match="radius 1.0 "):
         phi(1.0)
+
+
+def test_reference_size_stops_at_the_largest_grid():
+    # the largest reference grid serves r = 0.99997 but not 0.99998; past
+    # it the refusal comes before any grid is built
+    assert _reference_size(0.99997) == REFERENCE_MAX == 1 << 20
+    beyond = r"beyond the largest reference grid \(N = 1048576\)"
+    with pytest.raises(ValueError, match=beyond):
+        _reference_size(0.99998)
+    with pytest.raises(ValueError, match=beyond):
+        beta_exp(0.5)(np.array([0.99999]))
 
 
 def _counting(log_modulus):
@@ -228,10 +241,9 @@ def test_outer_symbol_keeps_its_refusal():
 
 def test_extreme_modulus_values():
     phi = extreme_not_exposed()
-    assert abs(phi.modulus_of_angle(np.pi) - (1 - np.exp(-1 / np.pi))) < 1e-14
+    assert abs(phi.co_modulus_of_angle(np.pi) - np.exp(-1 / np.pi)) < 1e-14
     g = make_grid(2**14)
-    mod = phi.modulus(g)
-    res = log_integral(g.samples(mod.values))
+    res = log_integral(g.samples(1.0 - phi.co_modulus(g).values))
     assert not res.divergent  # |phi*| itself is log-integrable
 
 
@@ -248,7 +260,8 @@ def test_extreme_boundary_contact_fractions_vanish():
     # decrease with delta; read from the co-modulus, so 1e-24 is resolved
     phi = extreme_not_exposed()
     g = make_grid(2**14)
-    fr = level_sets(phi, g, thresholds=[1.0, 1e-6, 1e-12, 1e-24]).masses[1:]
+    co = phi.co_modulus_of_angle(g.signed_angles())
+    fr = np.array([np.mean(co < delta) for delta in (1e-6, 1e-12, 1e-24)])
     assert np.all(np.diff(fr) < 0)
     assert fr[1] < 0.02
 
@@ -256,7 +269,7 @@ def test_extreme_boundary_contact_fractions_vanish():
 def test_hs_extremal_bounded_below():
     phi = hs_extremal()
     g = make_grid(2**14)
-    mod = phi.modulus(g).values
+    mod = 1.0 - phi.co_modulus(g).values
     floor = 1 - np.exp(-np.exp(1 / np.pi))
     assert np.all(mod >= floor - 1e-15)
     assert floor > 0.74
@@ -280,7 +293,7 @@ def test_custom_outer_matches_table():
     g = make_grid(512)
     u = 0.3 + 0.2 * np.cos(g.angles)
     phi = custom_outer(g.angles, u)
-    assert np.allclose(phi.modulus(g).values, u, atol=1e-12)
+    assert np.allclose(1.0 - phi.co_modulus(g).values, u, atol=1e-12)
     tr = phi.trace(g)
     assert np.allclose(np.abs(tr.values), u, rtol=1e-12)
 
@@ -294,15 +307,15 @@ def test_custom_outer_validation():
 
 def test_level_sets_constant_symbol():
     g = make_grid(256)
-    ls = level_sets(constant(0.5), g, 5)
+    ls = level_sets(constant(0.5), g)
     assert ls.masses[0] == 1.0
     assert np.all(ls.masses[1:] == 0.0)
 
 
 def test_level_sets_nested_masks():
     g = make_grid(2**12)
-    ls = level_sets(half(), g, 9)
-    for k in range(1, 10):
+    ls = level_sets(half(), g)
+    for k in range(1, ls.k_max + 1):
         assert np.all(ls.mask(k) <= ls.mask(k - 1))
     assert np.all(np.diff(ls.masses) <= 0)
 
@@ -310,24 +323,18 @@ def test_level_sets_nested_masks():
 def test_level_sets_half_closed_form():
     # oracle: solve 1 - cos(t/2) = 2^-k, so c_k = 2 arccos(1 - 2^-k) / pi
     g = make_grid(2**16)
-    ls = level_sets(half(), g, 13)
+    ls = level_sets(half(), g)
     for k in range(6, 13):
         oracle = 2 * np.arccos(1 - 2.0**-k) / (2 * np.pi) * 2
         assert abs(ls.masses[k] / oracle - 1.0) < 0.1
 
 
 def test_level_sets_resolution_guard():
-    g = make_grid(256)
-    with pytest.raises(GridError):
-        level_sets(half(), g, 7)
-
-
-def test_level_sets_custom_thresholds():
-    g = make_grid(2**12)
-    thresholds = np.concatenate([[1.0], 4.0 ** (-np.arange(1, 7) / 3.0)])
-    ls = level_sets(half(), g, thresholds=thresholds)
-    assert ls.k_max == 6
-    assert np.all(np.diff(ls.masses) <= 0)
+    # dyadic levels down to k = log2(N) - 2, at least four samples per set
+    for log_n in (8, 10, 16):
+        ls = level_sets(half(), make_grid(1 << log_n))
+        assert ls.k_max == log_n - 2
+        assert np.array_equal(ls.thresholds, 2.0 ** -np.arange(log_n - 1))
 
 
 def _loop_level_sets(co, thresholds):
@@ -338,16 +345,12 @@ def _loop_level_sets(co, thresholds):
     return level, np.array([np.mean(level >= k) for k in range(len(thresholds))])
 
 
-@pytest.mark.parametrize("thresholds", [
-    None,
-    [1.0, 0.75, 0.375, 0.125, 2.0**-5, 1e-3],
-])
-def test_level_sets_match_loop_rule(thresholds):
+def test_level_sets_match_loop_rule():
     g = make_grid(2**10)
     rng = np.random.default_rng(7)
     co = rng.random(g.size) ** 4
     # co exactly on every threshold, at 0, at 1 and NaN
-    edges = 2.0 ** -np.arange(9) if thresholds is None else np.asarray(thresholds)
+    edges = 2.0 ** -np.arange(9)
     co[: edges.size] = edges
     co[20:30] = 0.0
     co[30:35] = 1.0
@@ -355,18 +358,13 @@ def test_level_sets_match_loop_rule(thresholds):
     # a symbol whose co-modulus on this grid is exactly the crafted samples
     phi = Symbol(kind="table", label="table", params=(), singular_angles=(),
                  co=lambda t: co, analytic=lambda z: z)
-    ls = level_sets(phi, g, thresholds=thresholds)
-    assert np.isin(ls.thresholds[ls.thresholds >= 2.0**-8], co).all()
+    ls = level_sets(phi, g)
+    assert np.isin(ls.thresholds, co).all()
     level, masses = _loop_level_sets(co, ls.thresholds)
     assert ls.level_index.dtype == np.int8
     assert np.array_equal(ls.level_index, level)
     assert np.array_equal(ls.masses, masses)
     assert np.all(ls.level_index[35:40] == 0)
-
-
-def test_level_sets_refuse_nan_thresholds():
-    with pytest.raises(ValueError):
-        level_sets(half(), make_grid(2**10), thresholds=[1.0, np.nan, 0.1])
 
 
 # ---------------------------------------------------------------- parsing
@@ -387,4 +385,4 @@ def test_parse_symbol_outer_file(tmp_path):
     path = tmp_path / "mod.csv"
     np.savetxt(path, np.column_stack([g.angles, u]), delimiter=",")
     phi = parse_symbol(f"outer:{path}")
-    assert np.allclose(phi.modulus(g).values, u, atol=1e-12)
+    assert np.allclose(1.0 - phi.co_modulus(g).values, u, atol=1e-12)

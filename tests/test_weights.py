@@ -1,4 +1,5 @@
-"""Weight recipes: moduli hit their targets, outer normalization, errors."""
+"""Weight recipes: moduli hit their targets, outer normalization, errors,
+and the one refusal rule for a log-divergent weight."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hardylab.symbols import (
     hs_extremal,
     lens,
     level_sets,
+    parse_symbol,
 )
 from hardylab.weights import (
     WeightError,
@@ -63,13 +65,15 @@ def test_hs_weight_half_modulus_squared():
 
 
 def test_hs_weight_extreme_divergent():
-    with pytest.raises(WeightError, match="divergent log-integral"):
-        hs_weight(extreme_not_exposed(), GRID)
+    # the recipe carries the verdict; parse_weight(strict=True) refuses it
+    assert hs_weight(extreme_not_exposed(), GRID).log_divergent
+    with pytest.raises(NotLogIntegrableError, match="hs: divergent log-integral"):
+        parse_weight("hs", extreme_not_exposed(), GRID)
 
 
 def test_hs_weight_nonstrict_keeps_modulus():
     phi = hs_extremal()
-    w = hs_weight(phi, GRID, strict=False)
+    w = hs_weight(phi, GRID)
     assert w.log_divergent
     with pytest.raises(NotLogIntegrableError):
         w.outer(0.5)
@@ -89,8 +93,8 @@ def test_power_weight_zero_exponent_is_unit():
 def test_power_weight_k2_pointwise_bound():
     # n^2 max_j (1-u)^2 u^n <= sup_{x in (0,1)} n^2 (1-x)^2 x^n <= 4
     phi = hs_extremal()
-    w = power_weight(phi, GRID, 2.0, strict=False)
-    mod = phi.modulus_of_angle(GRID.signed_angles())
+    w = power_weight(phi, GRID, 2.0)
+    mod = 1.0 - phi.co_modulus_of_angle(GRID.signed_angles())
     for n in (1, 8, 64, 512):
         assert n**2 * np.max(w.modulus.values * mod**n) <= 4.0 + 1e-9
 
@@ -112,7 +116,7 @@ def test_gauge_rejects_values_below_one():
 # ---------------------------------------------------------------- compactify
 
 def test_compactify_constant_symbol_gives_unit():
-    ls = level_sets(constant(0.5), GRID, 8)
+    ls = level_sets(constant(0.5), GRID)
     w, sched = compactify_weight(ls)
     assert np.all(w.modulus.values == 1.0)
     assert sched.series.verdict == "converging"
@@ -120,7 +124,7 @@ def test_compactify_constant_symbol_gives_unit():
 
 def test_compactify_beta_two():
     g = make_grid(2**14)
-    ls = level_sets(beta_exp(2.0), g, 12)
+    ls = level_sets(beta_exp(2.0), g)
     w, sched = compactify_weight(ls)
     assert sched.series.verdict == "converging"
     assert sched.series.total < 1.0
@@ -133,8 +137,9 @@ def test_compactify_beta_two():
 
 
 def test_compactify_rejects_fat_level_sets():
-    ls = level_sets(constant(0.999), GRID, 8)
-    # every level set has full mass: c_k = 1 > 1/2 for all k
+    # 1 - |phi*| = 1e-4 is below every h_k = 2^-k, k <= 10, that a 2^12
+    # grid resolves: every level set has full mass, c_k = 1 > 1/2
+    ls = level_sets(constant(0.9999), GRID)
     with pytest.raises(WeightError, match="not compactifiable"):
         compactify_weight(ls)
 
@@ -142,7 +147,7 @@ def test_compactify_rejects_fat_level_sets():
 # ---------------------------------------------------------------- staircase
 
 def test_staircase_unit_deltas():
-    ls = level_sets(beta_exp(2.0), GRID, 9)
+    ls = level_sets(beta_exp(2.0), GRID)
     w, series = staircase_weight(ls, np.ones(9))
     assert np.all(w.modulus.values == 1.0)
     assert series.total == 0.0
@@ -150,7 +155,7 @@ def test_staircase_unit_deltas():
 
 def test_staircase_single_level():
     # delta_1 = 1/2, all others 1: |w*| = 1/2 on F_1, 1 elsewhere
-    ls = level_sets(beta_exp(2.0), GRID, 9)
+    ls = level_sets(beta_exp(2.0), GRID)
     delta = np.concatenate([[0.5], np.ones(8)])
     w, _ = staircase_weight(ls, delta)
     on1 = ls.mask(1)
@@ -159,7 +164,7 @@ def test_staircase_single_level():
 
 
 def test_staircase_modulus_is_cumulative_product():
-    ls = level_sets(beta_exp(2.0), GRID, 9)
+    ls = level_sets(beta_exp(2.0), GRID)
     delta = stretched_staircase_delta(2.0, 9)
     w, series = staircase_weight(ls, delta)
     assert series.verdict == "converging"
@@ -172,7 +177,7 @@ def test_staircase_modulus_is_cumulative_product():
 
 def test_staircase_refuses_a_harmonic_series():
     # delta_k chosen so that c_k log(1/delta_k) = 1/k: the series diverges
-    ls = level_sets(beta_exp(2.0), GRID, 9)
+    ls = level_sets(beta_exp(2.0), GRID)
     k = np.arange(1, 10)
     delta = np.exp(-1.0 / (k * ls.masses[1:10]))
     with pytest.raises(WeightError, match=r"divergent staircase: .* reads "
@@ -183,7 +188,7 @@ def test_staircase_refuses_a_harmonic_series():
 def test_staircase_series_matches_quadratic_tail():
     # c_k log(1/delta_k) tracks (2 sqrt2/pi)/k^2 for the beta=2 schedule
     g = make_grid(2**22)
-    ls = level_sets(beta_exp(2.0), g, 20)
+    ls = level_sets(beta_exp(2.0), g)
     delta = stretched_staircase_delta(2.0, 20)
     terms = ls.masses[1:21] * np.log(1.0 / delta)
     ks = np.arange(1, 21)
@@ -291,3 +296,50 @@ def test_staircase_default_underflow_names_level():
 def test_staircase_default_betaexp2_builds_at_large_n():
     w = parse_weight("staircase:default", beta_exp(2.0), make_grid(1 << 18))
     assert w.name == "staircase" and not w.log_divergent
+
+
+# ---------------------------------------------------------------- refusal
+
+# the benchmark's nine boundary (symbol, recipe) pairs and whether the
+# weight's log-modulus diverges: log(1 - |phi*|) is not integrable on hsx
+# and extreme
+REFUSAL_PAIRS = [
+    ("betaexp:0.5", "hs", False), ("betaexp:2", "staircase:default", False),
+    ("lens:0.5", "lensdecomp", False), ("lens:0.5", "boxdecomp", False),
+    ("hsx", "hs", True), ("extreme", "power:2", True), ("extreme", "gauge", True),
+    ("half", "compactify", False), ("half", "unit", False),
+]
+
+
+def _direct_recipe(recipe, phi, g):
+    """The recipe that ``parse_weight`` names, called directly."""
+    return {
+        "hs": lambda: hs_weight(phi, g),
+        "power:2": lambda: power_weight(phi, g, 2.0),
+        "gauge": lambda: power_weight(phi, g, default_gauge),
+        "compactify": lambda: compactify_weight(level_sets(phi, g))[0],
+        "staircase:default": lambda: staircase_weight(
+            level_sets(phi, g),
+            stretched_staircase_delta(phi.params[0], level_sets(phi, g).k_max))[0],
+        "lensdecomp": lambda: lens_decompact_weight(phi.params[0], g),
+        "boxdecomp": lambda: box_decompact_weight(phi, g)[0],
+        "unit": lambda: unit_weight(g),
+    }[recipe]()
+
+
+@pytest.mark.parametrize("spec, recipe, divergent", REFUSAL_PAIRS)
+def test_one_refusal_rule(spec, recipe, divergent):
+    # parse_weight(strict=True) is the one place that refuses, exactly when
+    # the weight is log_divergent; recipes carry the flag and never raise
+    phi, g = parse_symbol(spec), make_grid(2**12)
+    lenient = parse_weight(recipe, phi, g, strict=False)
+    assert lenient.log_divergent == divergent
+    direct = _direct_recipe(recipe, phi, g)
+    assert direct.log_divergent == divergent
+    assert np.array_equal(direct.modulus.values, lenient.modulus.values)
+    if divergent:
+        with pytest.raises(NotLogIntegrableError, match="divergent log-integral"):
+            parse_weight(recipe, phi, g, strict=True)
+    else:
+        strict = parse_weight(recipe, phi, g, strict=True)
+        assert np.array_equal(strict.trace.values, lenient.trace.values)
