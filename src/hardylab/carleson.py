@@ -50,6 +50,11 @@ __all__ = [
 # 2 pi h down to h = 2^-49.
 DEEPEST_LEVEL = 49
 
+# Levels with fewer kept atoms search every window end: below this the
+# pruned sweep's segment heads and bounds cost more numpy calls than the
+# search they save (:func:`_window_max`).
+PRUNED_SWEEP_MIN = 1 << 12
+
 # Series verdict thresholds on the fitted tail exponent (:class:`Series`);
 # box-counting sums over fewer than MIN_LEVELS levels are inconclusive.
 S_CONVERGING = 1.25
@@ -93,8 +98,10 @@ class PullbackMeasure:
             loc[boundary] /= r[boundary]
             r[boundary] = 1.0
         loc.setflags(write=False)
+        # np.angle is in [-pi, pi]; adding 2 pi where it is negative is what
+        # angles % (2 pi) does, bit for bit, but -0.0 stays -0.0
         angles = np.angle(loc)
-        angles %= TWO_PI
+        np.add(angles, TWO_PI, out=angles, where=angles < 0.0)
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "masses", mas)
         object.__setattr__(self, "_radii", r)
@@ -189,7 +196,9 @@ def pullback_graded(
     nonnegative boundary density (default 1).
     """
     angles, weights = graded_boundary(phi.singular_angles, octaves, per_octave)
-    signed = signed_angle(angles % TWO_PI)
+    # singular angles in [0, 2 pi) and offsets below pi put the cells in
+    # (-pi, 3 pi), which signed_angle maps onto (-pi, pi] exactly
+    signed = signed_angle(angles)
     locations = phi.trace_of_angle(signed)
     if density_fn is not None:
         dens = np.asarray(density_fn(signed), dtype=float)
@@ -376,30 +385,64 @@ class CarlesonReport:
 
 def _window_max(ang, mas, h):
     """Largest mass of a closed arc [a, a + 2 pi h] with a at an atom, for
-    atoms sorted by angle: one prefix sum and one search of the K ends.
+    atoms sorted by angle, from one prefix sum.
 
     Window i holds the atoms from i up to its end.  A window that passes
     2 pi holds all atoms from i on, plus those up to its end - 2 pi (exact,
-    by Sterbenz), capped at i so that it holds at most one turn.
+    by Sterbenz), capped at i so that it holds at most one turn.  Its mass
+    is the prefix difference top_i - prefix[i], top_i = prefix[right_i]
+    (+ prefix[K] when it wraps).
+
+    From PRUNED_SWEEP_MIN atoms on, the search is pruned by segments of
+    B = 2^floor(log2(K)/2) atoms.  The
+    windows from the segment heads give a lower bound L on the maximum.  A
+    window from atom i of the segment [a, b] ends no later than the window
+    from b, and starts no earlier than a: right_i <= right_b, so
+    top_i <= top_b, and prefix[i] >= prefix[a], with prefix nondecreasing.
+    Floating-point addition and subtraction are monotone in each operand, so
+    the window's mass, rounded, is at most top_b - prefix[a] rounded, which
+    is the segment's bound.  Only segments whose bound reaches L can hold a
+    heaviest window, the first heaviest included, so only their windows are
+    searched; the maximum and its first argmax are those of the full sweep.
     """
     k = ang.size
     prefix = np.empty(k + 1)
     prefix[0] = 0.0
     np.cumsum(mas, out=prefix[1:])
-    ends = ang + TWO_PI * h
-    wrap = np.searchsorted(ends, TWO_PI)  # windows from here on pass 2 pi
-    ends[wrap:] -= TWO_PI
-    right = np.searchsorted(ang, ends, side="right")
-    np.minimum(right[wrap:], np.arange(wrap, k), out=right[wrap:])
-    mass = prefix[right]
-    mass[wrap:] += prefix[k]
-    mass -= prefix[:-1]
+    span = TWO_PI * h
+
+    def reach(start):
+        """right, top and whether it wraps, for the windows from ``start``."""
+        ends = ang[start] + span
+        wraps = ends >= TWO_PI
+        np.subtract(ends, TWO_PI, out=ends, where=wraps)
+        right = np.searchsorted(ang, ends, side="right")
+        np.minimum(right, start, out=right, where=wraps)
+        top = prefix[right]
+        np.add(top, prefix[k], out=top, where=wraps)
+        return right, top, wraps
+
+    if k < PRUNED_SWEEP_MIN:
+        start = np.arange(k)
+    else:
+        b = 1 << (k.bit_length() - 1) // 2
+        heads = np.arange(0, k, b)
+        # the windows from the heads, then from the segments' last atoms
+        top = reach(np.concatenate((heads, np.minimum(heads + b, k) - 1)))[1]
+        top -= np.tile(prefix[heads], 2)
+        head_mass, bound = np.split(top, 2)
+        keep = bound >= head_mass.max()
+        start = (heads[keep, None] + np.arange(b)).ravel()
+        if keep[-1]:  # the last segment is short by heads.size * b - k atoms
+            start = start[:start.size - (heads.size * b - k)]
+    right, top, wraps = reach(start)
     # the heaviest window summed again directly, pairwise: a prefix
     # difference drifts by up to K ulp of the level's mass
-    i = int(np.argmax(mass))
-    if i < wrap:
-        return float(mas[i:right[i]].sum())
-    return float(mas[i:].sum() + mas[:right[i]].sum())
+    j = int(np.argmax(top - prefix[start]))
+    i, r = int(start[j]), int(right[j])
+    if not wraps[j]:
+        return float(mas[i:r].sum())
+    return float(mas[i:].sum() + mas[:r].sum())
 
 
 def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonReport:
@@ -408,28 +451,34 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
 
     A heaviest arc slides forward until its left edge sits on an atom, so
     the supremum is a maximum over the K atoms kept at a level as left
-    edges, with no center set.  The atoms are sorted by angle once, stably,
-    in O(N log N).  Level n keeps the atoms of the level before it with
-    depth <= h: a boolean filter preserves the angle order, so each level
-    costs one prefix sum and one search of K window ends, O(K log K), and
-    no sort (:func:`_window_max`).  Once no atom is left the remaining levels are 0.
+    edges, with no center set.  The atoms of depth <= 2^-n_lo are sorted by
+    angle once, stably, in O(K log K).  Each later level keeps the atoms of
+    the level before it with depth <= h: a boolean filter preserves the
+    angle order, so a level costs one prefix sum and a pruned search of the
+    window ends (:func:`_window_max`), and no sort.  Once no atom is left
+    the remaining levels are 0.
     """
     if not 0 <= n_lo < n_hi <= DEEPEST_LEVEL:
         raise ValueError(f"need 0 <= n_lo < n_hi <= {DEEPEST_LEVEL}")
-    order = np.argsort(mu.angles, kind="stable")
-    depth = _depth(mu)[order]
-    ang = mu.angles[order]
-    mas = mu.masses[order]
-    del order
+    depth = _depth(mu)
+    keep = depth <= 2.0**-n_lo
+    depth = depth[keep]
+    ang = mu.angles[keep]
+    order = np.argsort(ang, kind="stable")
+    ang = ang[order]
+    depth = depth[order]
+    mas = mu.masses[keep][order]
+    del keep, order
     levels = np.arange(n_lo, n_hi + 1)
     rho = np.zeros(len(levels))
     for i, n in enumerate(levels):
         h = 2.0**-n
-        keep = depth <= h
-        # one array at a time, so no level holds two copies of all three
-        ang = ang[keep]
-        depth = depth[keep]
-        mas = mas[keep]
+        if i:
+            keep = depth <= h
+            # one array at a time, so no level holds two copies of all three
+            ang = ang[keep]
+            depth = depth[keep]
+            mas = mas[keep]
         if ang.size == 0:
             break
         rho[i] = _window_max(ang, mas, h)

@@ -8,6 +8,14 @@ accuracy.
 
 A grid holds only its size.  Its angles, signed angles and points are
 computed on each access, and every access returns a new, writable array.
+
+The angles the library makes move between the two ranges by one masked
+shift of 2 pi, not by a float modulo: :func:`signed_angle` takes 2 pi off
+where an angle passes pi, and :class:`hardylab.carleson.PullbackMeasure`
+adds it where ``np.angle`` is negative.  Only the table angles of
+:func:`hardylab.symbols.custom_outer`, which may be anything, are reduced
+by a modulo.  A point r e^{it} is built from cos t and sin t in one complex
+buffer (:func:`_polar`), not by a complex exponential.
 """
 
 from __future__ import annotations
@@ -42,8 +50,22 @@ DRIFT_TOL = 0.03
 
 
 def signed_angle(angles) -> np.ndarray:
-    """Angles in [0, 2 pi) mapped to (-pi, pi]."""
+    """Angles in (-pi, 3 pi) mapped to (-pi, pi]: 2 pi comes off where an
+    angle passes pi, exactly (Sterbenz), and the rest are kept as given."""
     return np.where(angles > np.pi, angles - TWO_PI, angles)
+
+
+def _polar(arg, modulus=None) -> np.ndarray:
+    """modulus e^{i arg} for real arrays (e^{i arg} without a modulus),
+    built from cos arg and sin arg in one complex buffer."""
+    z = np.empty(np.shape(arg), dtype=complex)
+    re, im = z.real, z.imag
+    np.cos(arg, out=re)
+    np.sin(arg, out=im)
+    if modulus is not None:
+        re *= modulus
+        im *= modulus
+    return z
 
 
 class GridError(ValueError):
@@ -79,8 +101,7 @@ class BoundaryGrid:
     @property
     def points(self) -> np.ndarray:
         """The grid points e^{i t_j}, built in one complex buffer."""
-        z = 1j * self.angles
-        return np.exp(z, out=z)
+        return _polar(self.angles)
 
     def signed_angles(self) -> np.ndarray:
         """Angles mapped to (-pi, pi]; |t| measures distance to angle 0.
@@ -130,7 +151,7 @@ def quadrature(f: BoundarySamples) -> complex:
 def coefficients_from_fft(spectrum: np.ndarray, m: int, n: int) -> np.ndarray:
     """c_0..c_m from the FFT (or rfft) of N samples on the offset grid
     (no guard)."""
-    return spectrum[: m + 1] / n * np.exp(-1j * np.pi * np.arange(m + 1) / n)
+    return spectrum[: m + 1] / n * _polar(-np.pi * np.arange(m + 1) / n)
 
 
 def refined_mean(values) -> IntegralResult:
@@ -142,8 +163,14 @@ def refined_mean(values) -> IntegralResult:
     measured against the L1 mass so a zero-mean integrand (e.g. the
     log-modulus of a monic outer function) is not "unstable".  Non-finite
     samples and a mean |v| beyond MAGNITUDE_CAP are divergent outright.
+    A zero-stride array (one broadcast constant) is read from its one value,
+    with no temporary: it is divergent only when that value is non-finite or
+    beyond the cap.
     """
     v = np.asarray(values, dtype=float)
+    if v.size and v.strides == (0,):
+        x = float(v[0])
+        return IntegralResult(x, not abs(x) <= MAGNITUDE_CAP)
     with np.errstate(invalid="ignore", over="ignore"):
         mean = float(np.mean(v))
         mass = float(np.mean(np.abs(v)))

@@ -24,6 +24,9 @@ The data are real, so every transform here is a real FFT: H u is
 irfft(-i*sign(k) * rfft(u), N), and c_0..c_{N/2-1} are read from rfft(u).
 The spectrum of real data is conjugate-symmetric, so the half that rfft
 keeps determines it; that is half the work and memory of a complex FFT.
+The trace is assembled in polar form, e^u (cos Hu + i sin Hu), in one
+complex buffer: real exponentials and real sines in place of the complex
+exponential of u + i Hu, equal to it up to rounding.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples, coefficients_from_fft, refined_mean
+from .grid import (BoundaryGrid, BoundarySamples, _polar, coefficients_from_fft,
+                   refined_mean)
 
 __all__ = [
     "NotLogIntegrableError",
@@ -135,7 +139,7 @@ class OuterFunction:
         if self.log_divergent:
             return self.boundary_modulus()
         u = self.log_modulus
-        return self.grid.samples(np.exp(u + 1j * _hilbert_transform(u)))
+        return self.grid.samples(_polar(_hilbert_transform(u), np.exp(u)))
 
 
 def outer_from_modulus(u: BoundarySamples) -> OuterFunction:

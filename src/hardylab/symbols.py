@@ -5,6 +5,13 @@ closed-form *co-modulus* 1 - |phi*| evaluated without cancellation: the
 catalog's interesting symbols approach the unit circle so fast that
 ``1 - modulus`` in floating point would lose all digits exactly where the
 diagnostics look.
+
+A closed-form symbol also carries its boundary trace as a function of the
+real angle t, which is the one way its trace is read.
+On the circle (1 - e^{it})/(1 + e^{it}) = -i tan(t/2), so the lens trace
+and co-modulus follow from T = |tan(t/2)|^theta with no complex exponential
+or complex power, and the other closed forms are written as modulus and
+argument in t.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TWO_PI, BoundaryGrid, BoundarySamples, make_grid
+from .grid import TWO_PI, BoundaryGrid, BoundarySamples, _polar, make_grid
 from .outer import OuterFunction
 
 __all__ = [
@@ -60,11 +67,12 @@ class Symbol:
     """Analytic self-map of the disk with closed-form boundary data.
 
     ``co(t)`` is the co-modulus 1 - |phi*(e^{it})| at signed angles,
-    computed cancellation-free; the modulus is 1 - co.  The map is given by
-    exactly one of ``analytic``, a closed form evaluated at interior points
-    and at e^{it} on the circle, and ``log_modulus(t)``, whose outer
-    function (:class:`hardylab.outer.OuterFunction`) gives the trace on a
-    grid and the interior values on a reference grid chosen from the radius.
+    computed cancellation-free; the modulus is 1 - co.  The map is given
+    either by two closed forms, ``analytic`` at interior points and
+    ``boundary(t)``, the trace phi*(e^{it}) at any real angle, or by
+    ``log_modulus(t)``, whose outer function
+    (:class:`hardylab.outer.OuterFunction`) gives the trace on a grid and
+    the interior values on a reference grid chosen from the radius.
     The interior evaluator of each reference size is built on first use and
     kept: its N/2 Taylor coefficients, or its refusal when the log-modulus
     is not integrable.
@@ -76,9 +84,13 @@ class Symbol:
     singular_angles: tuple
     co: Callable
     analytic: Optional[Callable] = None
+    boundary: Optional[Callable] = None
     log_modulus: Optional[Callable] = None
 
     def __post_init__(self):
+        if (self.analytic is None) != (self.boundary is None):
+            raise ValueError("a closed-form Symbol needs both analytic and "
+                             "boundary")
         if (self.analytic is None) == (self.log_modulus is None):
             raise ValueError("a Symbol needs exactly one of analytic and "
                              "log_modulus")
@@ -95,19 +107,17 @@ class Symbol:
 
     def trace(self, grid: BoundaryGrid) -> BoundarySamples:
         t = grid.signed_angles()
-        if self.analytic is None:
+        if self.boundary is None:
             return OuterFunction(grid, self.log_modulus(t)).boundary()
-        z = 1j * t  # e^{it} in one complex buffer
-        np.exp(z, out=z)
-        return grid.samples(self.analytic(z))
+        return grid.samples(self.boundary(t))
 
     def trace_of_angle(self, t):
         """Boundary trace at arbitrary angles; closed-form symbols only."""
-        if self.analytic is None:
+        if self.boundary is None:
             raise NotImplementedError(
                 f"symbol {self.label!r} has no closed-form trace off the grid"
             )
-        return self.analytic(np.exp(1j * np.asarray(t, dtype=float)))
+        return self.boundary(np.asarray(t, dtype=float))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -130,21 +140,65 @@ def lens(theta: float) -> Symbol:
     lambda(z) = (1 - s)/(1 + s) with s = ((1-z)/(1+z))^theta (principal
     powers); fixes +-1 as boundary limits, lambda(0) = 0, and
     1 - |lambda*(e^{it})| behaves like |t|^theta near the contact points.
+
+    On the circle s = T e^{-i (pi theta / 2) sign tan(t/2)} with
+    T = |tan(t/2)|^theta, so with c = cos(pi theta / 2) and
+    D = |1 + s|^2 = 1 + 2 c T + T^2 the trace is
+    ((1 - T^2) + 2 i sign(tan(t/2)) sin(pi theta / 2) T) / D, and
+    1 - |lambda*|^2 = x = 4 c T / D gives the co-modulus x / (1 + sqrt(1 - x))
+    without cancellation.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError(f"lens parameter must be in (0, 1), got {theta}")
+    cos_half = np.cos(0.5 * np.pi * theta)
+    sin_half = np.sin(0.5 * np.pi * theta)
 
     def core(z):
         s = ((1.0 - z) / (1.0 + z)) ** theta
         return (1.0 - s) / (1.0 + s)
 
+    def tan_power(t):
+        """tan(t/2) and T = |tan(t/2)|^theta as new arrays shaped like t
+        (0-d for a scalar), so that both can be written in place."""
+        tan_half = np.multiply(0.5, t, out=np.empty(np.shape(t)))
+        np.tan(tan_half, out=tan_half)
+        big_t = np.abs(tan_half, out=np.empty_like(tan_half))
+        np.power(big_t, theta, out=big_t)
+        return tan_half, big_t
+
+    def denominator(big_t, out):
+        """D = |1 + s|^2 = 1 + (T + 2c) T, written to ``out``."""
+        np.add(big_t, 2.0 * cos_half, out=out)
+        out *= big_t
+        out += 1.0
+        return out
+
+    def boundary_fn(t):
+        tan_half, big_t = tan_power(t)
+        out = np.empty(np.shape(t), dtype=complex)
+        re, im = out.real, out.imag
+        # the sign of tan(t/2) is that of t in (-pi, pi], and repeats mod 2 pi
+        np.copysign(big_t, tan_half, out=im)
+        d = denominator(big_t, out=tan_half)
+        np.multiply(big_t, big_t, out=re)
+        np.subtract(1.0, re, out=re)
+        re /= d
+        im *= 2.0 * sin_half
+        im /= d
+        return out
+
     def co_fn(t):
-        xi = np.exp(1j * t)
-        s = ((1.0 - xi) / (1.0 + xi)) ** theta
-        # 1 - |lambda|^2 = 4 Re s / |1+s|^2; convert without cancellation
-        x = 4.0 * np.real(s) / np.abs(1.0 + s) ** 2
-        x = np.clip(x, 0.0, 1.0)
-        return x / (1.0 + np.sqrt(1.0 - x))
+        x, big_t = tan_power(t)
+        denominator(big_t, out=x)
+        np.divide(big_t, x, out=x)
+        x *= 4.0 * cos_half
+        # D - 4 c T = (1 - T)^2 + 2 T (1 - c) >= 0, so x <= 1 but for rounding
+        np.minimum(x, 1.0, out=x)
+        np.subtract(1.0, x, out=big_t)
+        np.sqrt(big_t, out=big_t)
+        big_t += 1.0
+        x /= big_t
+        return x
 
     return Symbol(
         kind="lens",
@@ -153,11 +207,24 @@ def lens(theta: float) -> Symbol:
         singular_angles=(0.0, np.pi),
         co=co_fn,
         analytic=core,
+        boundary=boundary_fn,
     )
 
 
 def half() -> Symbol:
-    """The symbol phi(z) = (1+z)/2 with boundary modulus |cos(t/2)|."""
+    """The symbol phi(z) = (1+z)/2 with boundary modulus |cos(t/2)|, and
+    trace (1 + cos t)/2 + i sin(t)/2."""
+
+    def boundary_fn(t):
+        out = np.empty(np.shape(t), dtype=complex)
+        re, im = out.real, out.imag
+        np.cos(t, out=re)
+        re += 1.0
+        re *= 0.5
+        np.sin(t, out=im)
+        im *= 0.5
+        return out
+
     return Symbol(
         kind="half",
         label="half",
@@ -165,6 +232,7 @@ def half() -> Symbol:
         singular_angles=(0.0,),
         co=lambda t: 2.0 * np.sin(t / 4.0) ** 2,
         analytic=lambda z: (1.0 + z) / 2.0,
+        boundary=boundary_fn,
     )
 
 
@@ -174,15 +242,19 @@ def beta_exp(beta: float) -> Symbol:
     Boundary modulus exp(-|sin(t/2)|^beta) in closed form; the boundary
     argument is the conjugate function of -u.  The exact U has Re U >= 0, so
     exp(-U) maps the disk into itself.  For beta = 2, u = (1 - cos t)/2 and
-    U(z) = (1 - z)/2, so the symbol is the closed form exp((z - 1)/2);
-    otherwise it is the outer function of -u, whose values carry the
-    aliasing of the cusp's slowly decaying spectrum on the grid used.
+    U(z) = (1 - z)/2, so the symbol is the closed form exp((z - 1)/2), whose
+    trace is exp((cos t - 1)/2) e^{i sin(t)/2}; otherwise it is the outer
+    function of -u, whose values carry the aliasing of the cusp's slowly
+    decaying spectrum on the grid used.
     """
     if not 0.0 < beta <= 2.0:
         raise ValueError(f"beta must be in (0, 2], got {beta}")
 
     def u_fn(t):
         return np.abs(np.sin(t / 2.0)) ** beta
+
+    def boundary_fn(t):
+        return _polar(0.5 * np.sin(t), np.exp(0.5 * (np.cos(t) - 1.0)))
 
     closed = beta == 2.0
     return Symbol(
@@ -192,6 +264,7 @@ def beta_exp(beta: float) -> Symbol:
         singular_angles=(0.0,),
         co=lambda t: -np.expm1(-u_fn(t)),
         analytic=(lambda z: np.exp((z - 1.0) / 2.0)) if closed else None,
+        boundary=boundary_fn if closed else None,
         log_modulus=None if closed else (lambda t: -u_fn(t)),
     )
 
@@ -284,6 +357,7 @@ def constant(c: complex) -> Symbol:
         singular_angles=(),
         co=lambda t: np.full_like(t, 1.0 - abs(c), dtype=float),
         analytic=lambda z: np.full_like(z, c, dtype=complex),
+        boundary=lambda t: np.full(np.shape(t), c),
     )
 
 
@@ -315,15 +389,24 @@ def level_sets(phi: Symbol, grid: BoundaryGrid) -> LevelSets:
 
     Dyadic thresholds h_k = 2^{-k}, k = 0..log2(N) - 2: the resolution cap
     keeps at least four samples per resolvable set.
+
+    The level of a sample is the number of h_k, k >= 1, above its
+    co-modulus.  The thresholds are powers of two, so it is read from the
+    binary exponent: co = m 2^e with m in [1/2, 1) lies below 2^-k exactly
+    when k <= -e.  Clamping co to [h_{k_top} / 2, 1/2] first, with fmin and
+    fmax, keeps every sample on its side of every threshold and sends NaN
+    and inf to level 0 and zero and negatives to k_top.
     """
     n = grid.size
     k_top = int(np.log2(n)) - 2
     thresholds = 2.0 ** -np.arange(k_top + 1)
-    co = phi.co_modulus(grid).values
-    # the h_k decrease, so co < h_k holds for k = 1..level and no further:
-    # level counts the h_k (k >= 1) above co; NaN is above none
-    level = np.subtract(k_top, np.searchsorted(thresholds[:0:-1], co,
-                                               side="right"), dtype=np.int8)
+    clamped = np.fmin(phi.co_modulus(grid).values, 0.5)
+    np.fmax(clamped, 0.5 * thresholds[-1], out=clamped)
+    # the mantissas overwrite the samples, which are read once
+    exponent = np.frexp(clamped, out=(clamped, np.empty(n, dtype=np.intc)))[1]
+    del clamped
+    level = np.negative(exponent, out=exponent).astype(np.int8)
+    del exponent
     counts = np.bincount(level, minlength=k_top + 1)
     masses = np.cumsum(counts[::-1])[::-1] / n
     return LevelSets(

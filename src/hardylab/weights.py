@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples
+from .grid import BoundaryGrid, BoundarySamples, _polar
 from .outer import NotLogIntegrableError, OuterFunction
 from .symbols import LevelSets, Symbol, lens, level_sets
 from .carleson import Series, dyadic_boxes, pullback
@@ -252,19 +252,23 @@ def lens_decompact_weight(theta: float, grid: BoundaryGrid) -> Weight:
     The negative power amplifies mass near the contact point exactly hard
     enough to keep the pull-back measure Carleson but not vanishing; a is
     chosen so 2 a theta = theta - 1 > -1, hence w is in H^2.  The trace is
-    the closed form; ``outer`` is the outer function of the same modulus
-    (1 - lambda_theta is outer, having positive real part).
+    the closed form, read in polar form from b = 1 - lambda_theta as
+    exp(a log|b|) e^{i a arg b} (b has positive real part, so arg b is the
+    principal argument); ``outer`` is the outer function of the same
+    modulus (1 - lambda_theta is outer).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
     a = 0.5 * (1.0 - 1.0 / theta)
-    lam = lens(theta).trace(grid).values
-    base = 1.0 - lam
+    b = lens(theta).trace(grid).values
+    np.subtract(1.0, b, out=b)
+    log_modulus = a * np.log(np.abs(b))
+    modulus = np.exp(log_modulus)
     return Weight(
         name=f"lensdecomp:{theta:g}",
-        modulus=grid.samples(np.abs(base) ** a),
-        trace=grid.samples(base**a),
-        outer=OuterFunction(grid, a * np.log(np.abs(base))),
+        modulus=grid.samples(modulus),
+        trace=grid.samples(_polar(a * np.angle(b), modulus)),
+        outer=OuterFunction(grid, log_modulus),
     )
 
 

@@ -1,7 +1,9 @@
 """Direct references for the window queries of ``hardylab.carleson``.
 
 Each one tests every atom against a window and sums the atoms inside with
-``math.fsum``, so its only rounding is the final one.
+``math.fsum``, so its only rounding is the final one; :func:`full_sweep`
+instead rounds as the library does, to pin which window the pruned sweep
+picks.
 """
 
 import math
@@ -47,3 +49,23 @@ def arc_profile(mu, n_lo, n_hi):
             best = max(best, math.fsum(mas[inside]))
         rho.append(best)
     return np.array(rho)
+
+
+def full_sweep(ang, mas, h):
+    """(mass, start) of the first heaviest closed arc [a, a + 2 pi h] over
+    atoms sorted by angle, every window read from the prefix sums as the
+    library reads them, with no pruning: the mass is that window summed
+    again pairwise, and start is its first atom."""
+    k = ang.size
+    prefix = np.concatenate(([0.0], np.cumsum(mas)))
+    ends = ang + TWO_PI * h
+    wraps = ends >= TWO_PI
+    ends[wraps] -= TWO_PI
+    right = np.searchsorted(ang, ends, side="right")
+    right[wraps] = np.minimum(right[wraps], np.arange(k)[wraps])
+    top = prefix[right]
+    top[wraps] += prefix[k]
+    i = int(np.argmax(top - prefix[:-1]))
+    if wraps[i]:
+        return float(mas[i:].sum() + mas[:right[i]].sum()), i
+    return float(mas[i:right[i]].sum()), i

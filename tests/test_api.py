@@ -17,6 +17,7 @@ MODULES = (grid, outer, symbols, weights, carleson, operators)
 # is a deliberate edit here.
 SETTINGS = [
     "symbols.Symbol.analytic",
+    "symbols.Symbol.boundary",
     "symbols.Symbol.log_modulus",
     "weights.parse_weight(strict)",
     "carleson.graded_boundary(octaves)",

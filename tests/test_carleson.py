@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardylab import carleson
 from hardylab.grid import TWO_PI, make_grid
 from hardylab.symbols import beta_exp, half, hs_extremal, lens, level_sets, parse_symbol
 from hardylab.weights import lens_decompact_weight, parse_weight, unit_weight
@@ -15,6 +16,7 @@ from hardylab.carleson import (
     PullbackMeasure,
     Series,
     _depth,
+    _window_max,
     annulus_mass,
     carleson_profile,
     dyadic_boxes,
@@ -24,7 +26,7 @@ from hardylab.carleson import (
     pullback_graded,
 )
 
-from brute_force import arc_profile, dyadic_annulus_mass, window_mass
+from brute_force import arc_profile, dyadic_annulus_mass, full_sweep, window_mass
 
 
 def _uniform_circle_measure(n=2**10):
@@ -46,6 +48,20 @@ def test_pullback_constant_symbol():
     g = make_grid(64)
     mu = pullback(g.samples(np.full(64, 0.3 + 0.1j)), 1.0)
     assert np.all(mu.locations == 0.3 + 0.1j)
+
+
+def test_measure_angles_are_the_angle_mod_two_pi():
+    # one masked shift of 2 pi where np.angle is negative reads as
+    # np.angle(z) % (2 pi): at +-pi, at +-0.0, at tiny negative angles,
+    # whose shift rounds to 2 pi itself, and on conjugate pairs
+    z = np.array([complex(-0.5, 0.0), complex(-0.5, -0.0), complex(0.5, 0.0),
+                  complex(0.5, -0.0), complex(-0.0, -0.0), complex(0.9, -5e-324),
+                  complex(0.9, -1e-300), complex(0.9, -1e-17), complex(1.0, -2e-16)])
+    pairs = 0.7 * np.exp(1j * np.linspace(0.1, 3.1, 31))
+    z = np.concatenate([z, pairs, np.conj(pairs)])
+    mu = PullbackMeasure(z, np.ones(z.size))
+    assert np.array_equal(mu.angles, np.angle(z) % TWO_PI)
+    assert np.all((mu.angles >= 0.0) & (mu.angles <= TWO_PI))
 
 
 def test_pullback_density_mass_is_h2_norm():
@@ -219,21 +235,31 @@ def test_profile_matches_brute_force(name, mu, exact):
 _EDGE_ANGLES = (0.0, np.nextafter(TWO_PI, 0.0), np.pi, np.nextafter(np.pi, 0.0))
 
 
-@given(st.lists(st.tuples(
+_ATOM = st.tuples(
     st.one_of(st.sampled_from(_EDGE_ANGLES),
               st.floats(0.0, TWO_PI, exclude_max=True)),
     st.one_of(st.sampled_from((0.0, 0.5, 1.0 - 2.0**-7, 1.0)),
               st.floats(0.0, 1.0)),
-    st.integers(1, 1023)), max_size=40))
+    st.integers(1, 1023))
+
+
+@given(st.one_of(st.lists(_ATOM, max_size=40),
+                 st.lists(_ATOM, min_size=64, max_size=128)))
 @settings(max_examples=200, deadline=None)
 def test_profile_is_the_sup_over_arcs(atoms):
     # atoms at angle 0 and just below 2 pi, on the circle, at the origin,
     # with tied angles (the edge list repeats), or none at all; lattice
-    # masses make every sum exact
+    # masses make every sum exact.  The sweep is read both in full and
+    # pruned at every size: lists of 64 or more atoms split it into 8 or
+    # more segments of 8 or more atoms.
     t, r, m = (np.array(v, dtype=float) for v in zip(*atoms)) if atoms else \
         (np.zeros(0),) * 3
     mu = PullbackMeasure(r * np.exp(1j * t), m / 1024)
-    _assert_matches_arc_profile(carleson_profile(mu, 0, 12).rho, mu, 0, 12, True)
+    ref = arc_profile(mu, 0, 12)
+    assert np.array_equal(carleson_profile(mu, 0, 12).rho, ref)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(carleson, "PRUNED_SWEEP_MIN", 0)
+        assert np.array_equal(carleson_profile(mu, 0, 12).rho, ref)
 
 
 def _sparse_measure(k=300, deepest=22):
@@ -248,6 +274,69 @@ def _sparse_measure(k=300, deepest=22):
 def test_profile_matches_brute_force_on_lens_measures(theta):
     mu = pullback_graded(lens(theta), per_octave=8)
     _assert_matches_arc_profile(carleson_profile(mu, 1, 16).rho, mu, 1, 16, False)
+
+
+def _pruned_sweep_measures(lattice):
+    """(name, measure) with K >= PRUNED_SWEEP_MIN = 4096 atoms, so that the
+    window sweep is pruned, over at least 64 segments of 64 atoms; masses on
+    a 2^-10 lattice when ``lattice``, which makes every sum exact."""
+    rng = np.random.default_rng(17)
+
+    def masses(k):
+        return rng.integers(1, 1024, k) / 1024 if lattice else rng.random(k)
+
+    g = make_grid(2**12)
+    # half pulls the circle onto a cusp at 1: the mass concentrates at angle
+    # 0, so the heaviest windows of the deep levels wrap past 2 pi
+    yield "half", PullbackMeasure(half().trace(g).values, masses(g.size))
+    # equal masses on a ring at depth 2^-20: the windows of a level tie
+    ring = np.full(g.size, 1 / 1024 if lattice else 0.1)
+    yield "ring", PullbackMeasure((1 - 2.0**-20) * g.points, ring)
+    # half turned so that its cusp sits 0.01 below 2 pi
+    yield "turned half", PullbackMeasure(np.exp(-0.01j) * half().trace(g).values,
+                                         masses(g.size))
+    # 4096 + 37 atoms at depth 2^-20: the last of the segments of 64 holds
+    # 37, a cluster of atoms 16 times heavier 0.01 below 2 pi
+    t = np.concatenate([np.sort(rng.random(4096)) * (TWO_PI - 0.1),
+                        TWO_PI - 0.01 + 2e-4 * np.arange(37)])
+    m = masses(t.size)
+    m[-37:] *= 16
+    yield "short last segment", PullbackMeasure((1 - 2.0**-20) * np.exp(1j * t), m)
+
+
+@pytest.mark.parametrize("name, mu", list(_pruned_sweep_measures(True)))
+def test_pruned_sweep_matches_brute_force(name, mu):
+    assert mu.size >= carleson.PRUNED_SWEEP_MIN
+    _assert_matches_arc_profile(carleson_profile(mu, 6, 12).rho, mu, 6, 12, True)
+
+
+def _sorted_levels(mu, n_lo, n_hi):
+    """(h, angles, masses) of the atoms of depth <= h sorted by angle, for
+    h = 2^-n, n = n_lo..n_hi."""
+    order = np.argsort(mu.angles, kind="stable")
+    ang, mas, depth = mu.angles[order], mu.masses[order], _depth(mu)[order]
+    for n in range(n_lo, n_hi + 1):
+        keep = depth <= 2.0**-n
+        yield 2.0**-n, ang[keep], mas[keep]
+
+
+@pytest.mark.parametrize("name, mu", list(_pruned_sweep_measures(False)))
+def test_pruned_sweep_picks_the_first_heaviest_window(name, mu, monkeypatch):
+    # with rounded masses, windows that tie in exact arithmetic differ in
+    # the last bits, and the window summed again decides the last bits of
+    # rho: the pruned sweep, here at every level whatever its size, must
+    # pick the full sweep's first argmax
+    monkeypatch.setattr(carleson, "PRUNED_SWEEP_MIN", 0)
+    starts = []
+    for h, ang, mas in _sorted_levels(mu, 0, 12):
+        mass, start = full_sweep(ang, mas, h)
+        assert _window_max(ang, mas, h) == mass
+        starts.append((start, ang.size, ang[start] + TWO_PI * h >= TWO_PI))
+    if name in ("half", "turned half"):
+        assert any(wraps for *_, wraps in starts)
+    if name == "short last segment":
+        # the heaviest window starts among the last 37 atoms at some level
+        assert any(start >= 4096 for start, k, _ in starts if k == 4133)
 
 
 def test_profile_matches_brute_force_on_a_sparse_measure():

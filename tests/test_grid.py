@@ -16,11 +16,12 @@ from hardylab.grid import (
     log_integral,
     make_grid,
     quadrature,
+    refined_mean,
 )
 from hardylab.operators import operator_matrix
 from hardylab.outer import NotLogIntegrableError, outer_from_modulus
-from hardylab.symbols import custom_outer, extreme_not_exposed
-from hardylab.weights import hs_weight, unit_weight
+from hardylab.symbols import custom_outer, extreme_not_exposed, half
+from hardylab.weights import hs_weight, parse_weight, unit_weight
 
 
 def test_grid_angles_offset():
@@ -186,6 +187,37 @@ def test_log_integral_rejects_bad_values():
         log_integral(g.samples(np.full(8, 1.5)))
     with pytest.raises(ValueError):
         log_integral(g.samples(np.zeros(8) - 1.0))
+
+
+def _peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("value", [0.0, -3.5, 1e6, 1.5e6, -np.inf, np.inf, np.nan])
+def test_refined_mean_reads_a_constant_from_its_one_value(value):
+    # a zero-stride constant takes no N-length temporary, and its verdict is
+    # that of the same constant materialized
+    n = 2**20
+    got, peak = _peak(refined_mean, np.broadcast_to(value, n))
+    assert peak < 64 * 1024
+    with np.errstate(invalid="ignore"):
+        want = refined_mean(np.full(n, value))
+    assert got.divergent == want.divergent
+    assert got.value == want.value or np.isnan(got.value) and np.isnan(want.value)
+    assert refined_mean(np.broadcast_to(value, 8)).divergent == want.divergent
+    assert refined_mean(np.broadcast_to(np.inf, 8)).divergent
+
+
+def test_strict_unit_weight_takes_no_temporary():
+    g = make_grid(2**20)
+    w, peak = _peak(parse_weight, "unit", half(), g, strict=True)
+    assert not w.log_divergent
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("n", [2**10, 2**11, 2**12, 2**14])

@@ -69,6 +69,42 @@ def test_lens_rejects_bad_theta():
             lens(theta)
 
 
+# ------------------------------------------------ boundary closed forms
+
+_CLOSED_FORMS = [lens(0.3), lens(0.5), lens(0.7), half(), beta_exp(2.0),
+                 constant(0.3 - 0.4j)]
+
+
+@pytest.mark.parametrize("phi", _CLOSED_FORMS, ids=repr)
+def test_boundary_closed_form_matches_the_complex_path(phi):
+    # on the 2^12 grid angles, which stay pi/4096 away from t = pi, the
+    # closed form in the angle is the interior closed form at e^{it}
+    t = make_grid(2**12).signed_angles()
+    direct = phi.analytic(np.exp(1j * t))
+    assert np.max(np.abs(phi.trace_of_angle(t) - direct)) <= 1e-14
+    assert np.array_equal(phi.trace(make_grid(2**12)).values, phi.trace_of_angle(t))
+    # closer to pi, where (1 - e^{it})/(1 + e^{it}) loses its digits, the
+    # modulus of the closed form is the cancellation-free 1 - co
+    gap = 2.0 ** -np.arange(1, 53)
+    near = np.concatenate([np.pi - gap, [np.pi], gap - np.pi])
+    modulus = 1.0 - phi.co_modulus_of_angle(near)
+    assert np.max(np.abs(np.abs(phi.trace_of_angle(near)) - modulus)) <= 1e-15
+    # a scalar angle reads as a one-point array would, and angles repeat
+    # mod 2 pi up to the rounding of t + 2 pi
+    assert phi.trace_of_angle(1.0) == phi.trace_of_angle(np.array([1.0]))[0]
+    turned = phi.trace_of_angle(t + 2.0 * np.pi)
+    assert np.max(np.abs(turned - phi.trace_of_angle(t))) <= 1e-12
+
+
+def test_closed_form_symbol_needs_both_forms():
+    with pytest.raises(ValueError, match="both analytic and boundary"):
+        Symbol("custom", "interior only", (), (), co=lambda t: 0.5 + 0 * t,
+               analytic=lambda z: z / 2)
+    with pytest.raises(ValueError, match="both analytic and boundary"):
+        Symbol("custom", "trace only", (), (), co=lambda t: 0.5 + 0 * t,
+               boundary=lambda t: np.exp(1j * t) / 2)
+
+
 # ---------------------------------------------------------------- half
 
 def test_half_basics():
@@ -355,9 +391,17 @@ def test_level_sets_match_loop_rule():
     co[20:30] = 0.0
     co[30:35] = 1.0
     co[35:40] = np.nan
+    # the neighbours of every threshold and of the powers of two past the
+    # deepest, subnormals, -0.0, negatives and both infinities
+    powers = 2.0 ** -np.arange(12)
+    special = np.concatenate([np.nextafter(powers, 0.0), np.nextafter(powers, 1.0),
+                              powers[9:], [5e-324, 1e-310, -0.0, -1e-300, -2.0,
+                                           np.inf, -np.inf]])
+    co[100:100 + special.size] = special
     # a symbol whose co-modulus on this grid is exactly the crafted samples
     phi = Symbol(kind="table", label="table", params=(), singular_angles=(),
-                 co=lambda t: co, analytic=lambda z: z)
+                 co=lambda t: co, analytic=lambda z: z,
+                 boundary=lambda t: np.exp(1j * t))
     ls = level_sets(phi, g)
     assert np.isin(ls.thresholds, co).all()
     level, masses = _loop_level_sets(co, ls.thresholds)

@@ -202,6 +202,8 @@ def test_lens_decompact_exponent():
     w = lens_decompact_weight(0.5, GRID)
     lam = lens(0.5).trace(GRID).values
     assert np.allclose(w.modulus.values, np.abs(1 - lam) ** -0.5, rtol=1e-12)
+    # the polar form exp(a log|b|) e^{i a arg b} is the principal power b^a
+    assert np.allclose(w.trace.values, (1 - lam) ** -0.5, rtol=1e-12, atol=0.0)
 
 
 def test_lens_decompact_h2_norm_stabilizes():
