@@ -5,10 +5,11 @@ profiles, and the dyadic box-counting sums of the Schatten-class embedding
 criterion.  All measures are finite atomic measures; window queries reduce
 to depth filters plus circular interval sums over angle-sorted atoms.
 
-Conventions.  Every window reads one depth per atom, d = 1 - |z| shrunk by
-a few ulp (:func:`_depth`), so that an atom placed on a dyadic circle
-|z| = 1 - 2^-n, which arrives as 1 - 2^-n +- ulp, sits on it.  Boundary
-atoms have d = 0.
+Conventions.  Every window reads one depth per atom,
+:attr:`PullbackMeasure.depth`: d = 1 - |z| shrunk by a few ulp, so that an
+atom placed on a dyadic circle |z| = 1 - 2^-n, which arrives as
+1 - 2^-n +- ulp (e.g. |e^{it}|/2 = 0.5 - ulp), sits on it, on the closed
+side of every window edge.  Boundary atoms have d = 0.
 
 * A Carleson window of size h is closed: d <= h and arg z in the closed
   arc [a, a + 2 pi h] (mod 2 pi) for some a, boundary atoms included, per
@@ -18,7 +19,8 @@ atoms have d = 0.
 * Corona n is the dyadic annulus of size 2^-n: 2^-(n+1) < d <= 2^-n.  Its
   2^n aligned Hastings-Luecking boxes are the angular cells (-pi 2^-n,
   pi 2^-n] around e^{2 pi i j / 2^n}, so they tile the corona exactly, atom
-  by atom (:func:`dyadic_boxes`).
+  by atom.  Box j of corona n has the heap key 2^n - 1 + j
+  (:func:`dyadic_boxes`), so keys ascend by corona, then by box.
 """
 
 from __future__ import annotations
@@ -70,8 +72,10 @@ class PullbackMeasure:
     complex, not a copy.  It is a read-only copy when an atom with
     |z| = 1 +- ulp had to be snapped onto the circle; the caller's array is
     then left as given.  Callers must not write to an array they passed in
-    afterwards: the cached radii and angles would no longer describe it.
-    The masses must be nonnegative with a finite total.
+    afterwards: the cached depths and angles would no longer describe it.
+    The masses must be nonnegative with a finite total.  ``depth`` holds
+    each atom's read-only (1 - |z|)(1 - 4e-16), ``angles`` its arg z in
+    [0, 2 pi].
     """
 
     locations: np.ndarray
@@ -98,14 +102,17 @@ class PullbackMeasure:
             loc[boundary] /= r[boundary]
             r[boundary] = 1.0
         loc.setflags(write=False)
+        depth = np.subtract(1.0, r, out=r)
+        depth *= 1.0 - 4e-16
+        depth.setflags(write=False)
         # np.angle is in [-pi, pi]; adding 2 pi where it is negative is what
         # angles % (2 pi) does, bit for bit, but -0.0 stays -0.0
         angles = np.angle(loc)
         np.add(angles, TWO_PI, out=angles, where=angles < 0.0)
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "masses", mas)
-        object.__setattr__(self, "_radii", r)
-        object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "angles", angles)
 
     @property
     def total_mass(self) -> float:
@@ -114,14 +121,6 @@ class PullbackMeasure:
     @property
     def size(self) -> int:
         return self.masses.size
-
-    @property
-    def radii(self) -> np.ndarray:
-        return self._radii
-
-    @property
-    def angles(self) -> np.ndarray:
-        return self._angles
 
 
 def pullback(phi_trace: BoundarySamples, density) -> PullbackMeasure:
@@ -156,6 +155,9 @@ def graded_boundary(singular_angles, octaves: int = 32, per_octave: int = 24):
     their midpoints; one core atom per side absorbs the innermost interval,
     so the weights sum to exactly the full arc measure 1.
     """
+    if octaves < 0 or per_octave < 1:
+        raise ValueError("graded sampling needs octaves >= 0 and "
+                         "per_octave >= 1")
     sing = sorted(a % TWO_PI for a in singular_angles)
     if not sing:
         raise ValueError("graded sampling needs at least one singular angle")
@@ -208,46 +210,56 @@ def pullback_graded(
     return PullbackMeasure(locations, weights)
 
 
-def _depth(mu: PullbackMeasure) -> np.ndarray:
-    """Depth 1-|z| of each atom, shrunk by a few ulp.
+def dyadic_boxes(mu: PullbackMeasure, n_max: int) -> np.ndarray:
+    """Heap key 2^n - 1 + j of each atom's box, over coronas 0..n_max.
 
-    The relative guard keeps an atom that sits on a dyadic circle up to
-    input rounding (e.g. |e^{it}|/2 = 0.5 - ulp) at depth <= 2^-n, on the
-    closed side of every window edge.
-    """
-    d = 1.0 - mu.radii
-    d *= 1.0 - 4e-16
-    return d
-
-
-def dyadic_boxes(mu: PullbackMeasure,
-                 n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Corona level and aligned box index of each atom, levels 0..n_max.
-
-    Returns (level, box) over the atoms: level is int16 (depths go down to
-    2^-1074, so coronas past 127 occur), box is int64.  An atom of corona
-    n, 2^-(n+1) < depth <= 2^-n, lies in box j of that level when
-    arg(z e^{-2 pi i j / 2^n}) is in (-pi 2^-n, pi 2^-n].  Boundary atoms and
-    atoms deeper than corona n_max get level -1 and box -1.
+    An atom of corona n, 2^-(n+1) < depth <= 2^-n, lies in box j of that
+    corona when arg(z e^{-2 pi i j / 2^n}) is in (-pi 2^-n, pi 2^-n].  Keys
+    are int64; boundary atoms and atoms deeper than corona n_max get -1.
+    Atoms within 4e-16 of the circle are snapped onto it
+    (:class:`PullbackMeasure`), so every other depth is at least
+    2^-51 (1 - 4e-16) and no corona is deeper than 51.
     """
     # each N-length temporary is dropped once read, to bound the peak
-    d = _depth(mu)
+    d = mu.depth
     # d = m 2^e with m in [1/2, 1): corona -e, or 1-e when d = 2^(e-1)
     m, e = np.frexp(d)
     level = np.subtract(m == 0.5, e, dtype=np.int16)
     del m, e
     level[(d <= 0.0) | (level > n_max)] = -1
-    del d
+    # the tables stop at the deepest corona held, so 2^n fits in an int64
+    n = np.arange(int(level.max(initial=0)) + 1)
     lv = np.maximum(level, 0)
     # with x = angle 2^n / (2 pi), box j covers x in (j - 1/2, j + 1/2]
-    x = (2.0 ** np.arange(n_max + 1) / TWO_PI)[lv]
+    x = (2.0**n / TWO_PI)[lv]
     x *= mu.angles
     x -= 0.5
-    box = np.ceil(x, out=x).astype(np.int64)
+    key = np.ceil(x, out=x).astype(np.int64)
     del x
-    box &= ((1 << np.arange(n_max + 1)) - 1)[lv]  # j mod 2^n
-    box[level < 0] = -1
-    return level, box
+    first = ((1 << n) - 1)[lv]  # 2^n - 1, the key of box 0
+    key &= first  # j mod 2^n
+    key += first
+    key[level < 0] = -1
+    return key
+
+
+def _box_masses(key, masses) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending heap keys of the boxes that hold mass, and each box's mass
+    summed in atom order, from the atoms' keys (-1 outside every box).
+
+    Bins every key while there are no more keys than atoms in boxes, else
+    only the keys that occur.
+    """
+    inside = key >= 0
+    if key.max(initial=-1) < np.count_nonzero(inside):
+        # bin 0 gathers the atoms outside every box
+        box = np.bincount(key + 1, weights=masses)[1:]
+        keys = np.flatnonzero(box > 0)
+        return keys, box[keys]
+    keys, slot = np.unique(key[inside], return_inverse=True)
+    box = np.bincount(slot, weights=masses[inside])
+    held = box > 0
+    return keys[held], box[held]
 
 
 @dataclass(frozen=True)
@@ -334,25 +346,15 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     over levels 0..n_max, whose verdict decides membership in S_p; fewer
     than MIN_LEVELS levels read "inconclusive".
     """
-    if p <= 0:
-        raise ValueError("Schatten exponent must be positive")
-    level, box = dyadic_boxes(mu, n_max)
-    # atoms of level n are order[start[n]:start[n + 1]], in atom order
-    order = np.argsort(level, kind="stable")
-    start = np.searchsorted(level[order], np.arange(n_max + 2))
+    if not p > 0:
+        raise ValueError("Schatten exponent must be positive, not NaN")
+    keys, masses = _box_masses(dyadic_boxes(mu, n_max), mu.masses)
+    # key + 1 = 2^n + j for box j of corona n
+    edges = np.searchsorted(np.frexp(keys + 1.0)[1] - 1, np.arange(n_max + 2))
     per_level = np.zeros(n_max + 1)
     for n in range(n_max + 1):
-        sel = order[start[n]:start[n + 1]]
-        if sel.size == 0:
-            continue
-        # a level holds 2^n boxes: bin by box index while they are no more
-        # than the level's atoms, else over the occupied boxes only
-        slot = box[sel]
-        if (1 << n) > sel.size:
-            _, slot = np.unique(slot, return_inverse=True)
-        masses = np.bincount(slot, weights=mu.masses[sel])
-        nz = masses[masses > 0]
-        per_level[n] = float(np.sum((nz * (1 << n)) ** (p / 2.0)))
+        box = masses[edges[n]:edges[n + 1]]
+        per_level[n] = float(np.sum((box * 2.0**n) ** (p / 2.0)))
     return LueckingReport(p=p, series=Series(np.arange(n_max + 1), per_level))
 
 
@@ -360,7 +362,7 @@ def annulus_mass(mu: PullbackMeasure, h: float) -> float:
     """Mass of the annulus 0 < depth <= h."""
     if not 0.0 < h <= 1.0:
         raise ValueError("annulus size must be in (0, 1]")
-    d = _depth(mu)
+    d = mu.depth
     return float(mu.masses[(d > 0.0) & (d <= h)].sum())
 
 
@@ -460,7 +462,7 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     """
     if not 0 <= n_lo < n_hi <= DEEPEST_LEVEL:
         raise ValueError(f"need 0 <= n_lo < n_hi <= {DEEPEST_LEVEL}")
-    depth = _depth(mu)
+    depth = mu.depth
     keep = depth <= 2.0**-n_lo
     depth = depth[keep]
     ang = mu.angles[keep]

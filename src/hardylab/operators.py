@@ -225,9 +225,9 @@ def embedding_spectrum(mu: PullbackMeasure) -> SingularSpectrum:
     eps/KERNEL_RELATIVE_FLOOR are refused: there the rounding of |z| alone
     moves the kernel diagonal by more than the route's floor.
     """
-    interior = mu.radii < 1.0
+    interior = mu.depth > 0.0
     z = mu.locations[interior]
-    r = mu.radii[interior]
+    r = np.abs(z)
     co = (1.0 - r) * (1.0 + r)
     limit = np.finfo(float).eps / KERNEL_RELATIVE_FLOOR
     lost = co < limit
@@ -288,8 +288,8 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
     base**-alpha) keeps subnormal bases finite.  Divergence is a return
     state; a NaN sample of the weight or the base raises ValueError.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not alpha > 0:
+        raise ValueError("alpha must be positive, not NaN")
     dens = np.abs(np.asarray(wtrace.values))
     dens *= dens
     base = _one_minus_mod_sq(phitrace, phi_co)
@@ -320,8 +320,8 @@ def schatten_estimate(spectrum: SingularSpectrum, p: float) -> SchattenEstimate:
     series verdict reads "converging"; the tail exponent says why it does
     or does not.
     """
-    if p <= 0:
-        raise ValueError("Schatten exponent must be positive")
+    if not p > 0:
+        raise ValueError("Schatten exponent must be positive, not NaN")
     s = spectrum.values
     series = Series(np.arange(1, len(s) + 1), s.astype(float) ** p)
     return SchattenEstimate(series.total ** (1.0 / p), series)
@@ -349,8 +349,8 @@ def column_pnorms(wtrace: BoundarySamples, phitrace: BoundarySamples,
     rows x^s (s < B) sum a x^{qB+s} in one matrix product.  No temporary
     grows with N.
     """
-    if p < 1:
-        raise ValueError("Hardy exponent must be >= 1")
+    if not p >= 1:
+        raise ValueError("Hardy exponent must be >= 1, not NaN")
     w = np.asarray(wtrace.values)
     phi = np.asarray(phitrace.values)
     b = _block_size(n_max + 1)

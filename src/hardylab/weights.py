@@ -27,7 +27,7 @@ import numpy as np
 from .grid import BoundaryGrid, BoundarySamples, _polar
 from .outer import NotLogIntegrableError, OuterFunction
 from .symbols import LevelSets, Symbol, lens, level_sets
-from .carleson import Series, dyadic_boxes, pullback
+from .carleson import Series, _box_masses, dyadic_boxes, pullback
 
 __all__ = [
     "Weight",
@@ -312,36 +312,32 @@ def box_decompact_weight(phi: Symbol, grid: BoundaryGrid):
     trace = phi.trace(grid)
     mu = pullback(trace, 1.0)
     cap = int(np.log2(grid.size)) - 2
-    level, box = dyadic_boxes(mu, cap)
-    ks, idxs, centers, box_masses = [], [], [], []
-    u = np.ones(grid.size)
+    key = dyadic_boxes(mu, cap)
+    keys, masses = _box_masses(key, mu.masses)
+    # key + 1 = 2^k + j for box j of corona k
+    edges = np.searchsorted(np.frexp(keys + 1.0)[1] - 1, np.arange(cap + 2))
+    ks, heaviest = [], []
     for k in range(1, cap + 1):
-        sel = np.flatnonzero(level == k)
-        if sel.size == 0:
-            continue
-        boxes, slot = np.unique(box[sel], return_inverse=True)
-        masses = np.bincount(slot, weights=mu.masses[sel])
-        i = int(np.argmax(masses))
-        j = int(boxes[i])
-        mass = float(masses[i])
-        members = sel[slot == i]
-        u[members] += 2.0**-k / mass
-        ks.append(k)
-        idxs.append(j)
-        centers.append(np.exp(2j * np.pi * j / (1 << k)))
-        box_masses.append(mass)
+        lo, hi = edges[k], edges[k + 1]
+        if lo < hi:  # the first heaviest box of corona k
+            ks.append(k)
+            heaviest.append(lo + np.argmax(masses[lo:hi]))
     if not ks:
         raise WeightError("norm below one: no corona holds an atom")
+    ks = np.array(ks, dtype=np.int64)
+    chosen, box_masses = keys[heaviest], masses[heaviest]
+    box_index = chosen - (1 << ks) + 1
+    # each atom lies in at most one chosen box
+    pos = np.minimum(np.searchsorted(chosen, key), ks.size - 1)
+    member = chosen[pos] == key
+    u = np.ones(grid.size)
+    u[member] += (2.0**-ks / box_masses)[pos[member]]
 
     log_modulus = 0.5 * np.log(u)
     weight = _finish("boxdecomp", grid, np.sqrt(u), log_modulus)
-    boxes = BoxSelection(
-        ks=np.array(ks, dtype=np.int64),
-        box_index=np.array(idxs, dtype=np.int64),
-        centers=np.array(centers, dtype=complex),
-        box_masses=np.array(box_masses),
-        u=u,
-    )
+    boxes = BoxSelection(ks=ks, box_index=box_index,
+                         centers=np.exp(2j * np.pi * box_index / (1 << ks)),
+                         box_masses=box_masses, u=u)
     return weight, boxes
 
 

@@ -3,14 +3,13 @@
 Each one tests every atom against a window and sums the atoms inside with
 ``math.fsum``, so its only rounding is the final one; :func:`full_sweep`
 instead rounds as the library does, to pin which window the pruned sweep
-picks.
+picks, and :func:`box_masses` places an atom in its box as the library
+rounds it.
 """
 
 import math
 
 import numpy as np
-
-from hardylab.carleson import _depth
 
 TWO_PI = 2.0 * np.pi
 
@@ -20,13 +19,13 @@ def window_mass(mu, center, h):
     circle: depth <= h and |arg(z conj(center))| <= pi h."""
     c = complex(center)
     offset = np.angle(mu.locations * np.conj(c / abs(c)))
-    inside = (_depth(mu) <= h) & (np.abs(offset) <= np.pi * h)
+    inside = (mu.depth <= h) & (np.abs(offset) <= np.pi * h)
     return math.fsum(mu.masses[inside])
 
 
 def dyadic_annulus_mass(mu, h):
     """Mass of the dyadic half h/2 < depth <= h of the annulus of size h."""
-    d = _depth(mu)
+    d = mu.depth
     return math.fsum(mu.masses[(d > h / 2.0) & (d <= h)])
 
 
@@ -36,7 +35,7 @@ def arc_profile(mu, n_lo, n_hi):
     a as the left edge.  The part of an arc past 2 pi holds the atoms with
     angle <= a + 2 pi h - 2 pi, short of a, so that an arc holds at most
     one turn."""
-    depth, angles = _depth(mu), mu.angles
+    depth, angles = mu.depth, mu.angles
     rho = []
     for n in range(n_lo, n_hi + 1):
         h = 2.0**-n
@@ -69,3 +68,21 @@ def full_sweep(ang, mas, h):
     if wraps[i]:
         return float(mas[i:].sum() + mas[:right[i]].sum()), i
     return float(mas[i:right[i]].sum()), i
+
+
+def box_masses(mu, n_max):
+    """Mass of every box that holds an atom, as {(corona n, box j): mass}
+    over coronas 0..n_max, level by level.
+
+    The corona compares each depth with the sizes 2^-n, the box rounds
+    x = angle 2^n / (2 pi) up from x - 1/2 as the library does, mod 2^n,
+    and each box's masses are summed by ``math.fsum``.
+    """
+    groups = {}
+    for n in range(n_max + 1):
+        h = 2.0**-n
+        for d, a, m in zip(mu.depth, mu.angles, mu.masses):
+            if h / 2.0 < d <= h:
+                j = math.ceil(float(a) * (2.0**n / TWO_PI) - 0.5) % 2**n
+                groups.setdefault((n, j), []).append(m)
+    return {box: math.fsum(m) for box, m in groups.items()}

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardylab import carleson
+from hardylab import carleson, weights
 from hardylab.grid import TWO_PI, make_grid
 from hardylab.symbols import beta_exp, half, hs_extremal, lens, level_sets, parse_symbol
-from hardylab.weights import lens_decompact_weight, parse_weight, unit_weight
+from hardylab.weights import (box_decompact_weight, lens_decompact_weight, parse_weight,
+                              unit_weight)
 from hardylab.carleson import (
     DEEPEST_LEVEL,
     PullbackMeasure,
     Series,
-    _depth,
     _window_max,
     annulus_mass,
     carleson_profile,
@@ -26,7 +26,8 @@ from hardylab.carleson import (
     pullback_graded,
 )
 
-from brute_force import arc_profile, dyadic_annulus_mass, full_sweep, window_mass
+from brute_force import (arc_profile, box_masses, dyadic_annulus_mass, full_sweep,
+                         window_mass)
 
 
 def _uniform_circle_measure(n=2**10):
@@ -119,6 +120,36 @@ def test_graded_boundary_mass_exact():
     assert abs(weights.sum() - 1.0) < 1e-14
     angles, weights = graded_boundary((0.0, np.pi), octaves=16, per_octave=6)
     assert abs(weights.sum() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("octaves, per_octave", [(-1, 24), (4, 0), (4, -2)])
+def test_graded_grading_refuses_empty_octaves(octaves, per_octave):
+    # octaves = -1 used to return total mass 2, per_octave = 0 mass 1/16
+    with pytest.raises(ValueError, match="octaves"):
+        graded_boundary((0.0,), octaves, per_octave)
+    with pytest.raises(ValueError, match="octaves"):
+        pullback_graded(lens(0.5), octaves=octaves, per_octave=per_octave)
+
+
+def test_graded_boundary_without_octaves_is_the_core_atoms():
+    _, masses = graded_boundary((0.0,), octaves=0, per_octave=24)
+    assert masses.tolist() == [0.5, 0.5]
+    assert pullback_graded(lens(0.5), octaves=0).total_mass == 1.0
+
+
+def test_depth_is_read_only_and_guarded():
+    z = np.concatenate([0.5 * np.exp(1j * np.linspace(0.0, 6.0, 25)),
+                        [0.999j, 1.0 + 0j, np.nextafter(1.0, 2.0),
+                         complex(0.0, 1.0 - 2.0**-53), 1.0 - 4.0 * 2.0**-53]])
+    mu = PullbackMeasure(z, np.ones(z.size))
+    r = np.abs(z)
+    snapped = r > 1.0 - 4e-16
+    assert snapped.sum() == 3
+    assert np.all(mu.depth[snapped] == 0.0)
+    assert np.array_equal(mu.depth[~snapped], (1.0 - r[~snapped]) * (1.0 - 4e-16))
+    assert not mu.depth.flags.writeable
+    with pytest.raises(ValueError):
+        mu.depth[0] = 0.25
 
 
 # ---------------------------------------------------------------- windows
@@ -314,7 +345,7 @@ def _sorted_levels(mu, n_lo, n_hi):
     """(h, angles, masses) of the atoms of depth <= h sorted by angle, for
     h = 2^-n, n = n_lo..n_hi."""
     order = np.argsort(mu.angles, kind="stable")
-    ang, mas, depth = mu.angles[order], mu.masses[order], _depth(mu)[order]
+    ang, mas, depth = mu.angles[order], mu.masses[order], mu.depth[order]
     for n in range(n_lo, n_hi + 1):
         keep = depth <= 2.0**-n
         yield 2.0**-n, ang[keep], mas[keep]
@@ -409,7 +440,7 @@ def test_profile_reaches_the_level_3_supremum():
     mu = _half_compactify(19)
     h = 2.0**-3
     rho = carleson_profile(mu, 3, 4).rho[0]
-    kept = _depth(mu) <= h
+    kept = mu.depth <= h
     ang, mas = mu.angles[kept], mu.masses[kept]
     order = np.argsort(ang)
     a = ang[order]
@@ -538,7 +569,7 @@ def test_measure_layer_holds_no_duplicate_arrays():
     mu, peak = _traced_peak(pullback, trace, density)
     assert peak < 4.5 * n_floats
     # the unit density stays one zero-stride constant, and a constant
-    # density is divided once: masses, radii and angles are the arrays
+    # density is divided once: masses, depths and angles are the arrays
     assert density.strides == (0,)
     _, peak = _traced_peak(pullback, trace, 1.0)
     assert peak < 3.5 * n_floats
@@ -549,6 +580,96 @@ def test_measure_layer_holds_no_duplicate_arrays():
     assert level_sets(half(), g).level_index.dtype == np.int8
     _, peak = _traced_peak(luecking_sum, mu, 2.0, 14)
     assert peak < 4 * n_floats
+
+
+def _lattice_mass():
+    return st.integers(0, 8).map(lambda k: k / 64.0)
+
+
+@st.composite
+def _box_atoms(draw, n_max, dense):
+    """Atoms in coronas 0..n_max, some within ulps of a box edge or of the
+    closed edge of their corona, plus atoms on the circle, past corona n_max
+    and within ulps of the circle, with masses on the lattice 2^-6 Z.
+    Dense: at least 2^(n_max+1) atoms in boxes, so no more keys than atoms.
+    Sparse: at most 12, one of them in corona 4 or deeper."""
+    size = 1 << (n_max + 2)
+    kept = draw(st.integers(2 << n_max, size - 6) if dense else st.integers(1, 12))
+    z, m = [], []
+    for i in range(kept):
+        n = draw(st.integers(0 if dense or i else 4, n_max))
+        j = draw(st.integers(0, (1 << n) - 1))
+        # a box edge (j + 1/2) or a point inside the box, maybe an ulp off
+        t = TWO_PI * (j + draw(st.sampled_from([0.5, 0.0, 0.3]))) / (1 << n)
+        t = np.nextafter(t, t + draw(st.sampled_from([-1.0, 0.0, 1.0])))
+        # the closed edge 2^-n of the corona, give or take an ulp, its
+        # middle, or just inside its open edge
+        c = draw(st.sampled_from([1.0, 0.75, 0.5 + 2.0**-20] if i else [0.75]))
+        r = 1.0 - c * 2.0**-n
+        r += draw(st.integers(-2, 2)) * 2.0**-53 if c == 1.0 else 0.0
+        z.append(r * np.exp(1j * t))
+        m.append(draw(_lattice_mass()))
+    for _ in range(draw(st.integers(0, 6))):
+        r = 1.0 - draw(st.sampled_from([0.75 * 2.0**-draw(st.integers(n_max + 1, 50)),
+                                        draw(st.integers(0, 8)) * 2.0**-53]))
+        z.append(r * np.exp(1j * draw(st.floats(0.0, TWO_PI))))
+        m.append(draw(_lattice_mass()))
+    order = draw(st.permutations(range(len(z))))
+    z, m = np.array(z)[order], np.array(m)[order]
+    pad = size - z.size
+    return PullbackMeasure(np.concatenate([z, np.exp(1j * np.arange(pad))]),
+                           np.concatenate([m, np.full(pad, 1.0 / 64.0)]))
+
+
+@pytest.mark.parametrize("n_max, dense", [(3, True), (8, False)],
+                         ids=["dense", "sparse"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_box_grouping_matches_brute_force(n_max, dense, data):
+    # both grouping modes against the per-level fsum reference: every box
+    # mass, the Luecking level sums and the heaviest box of each corona,
+    # exactly on lattice masses
+    mu = data.draw(_box_atoms(n_max, dense))
+    key = dyadic_boxes(mu, n_max)
+    assert (key.max() < np.count_nonzero(key >= 0)) == dense
+    ref = {box: mass for box, mass in box_masses(mu, n_max).items() if mass > 0}
+    keys, masses = carleson._box_masses(key, mu.masses)
+    level, j = _corona_and_box(keys)
+    assert dict(zip(zip(level.tolist(), j.tolist()), masses.tolist())) == ref
+    for p, rtol in ((2.0, 0.0), (0.7, 1e-14)):
+        want = [math.fsum((2.0**n * mass) ** (p / 2.0)
+                          for (k, _), mass in ref.items() if k == n)
+                for n in range(n_max + 1)]
+        got = luecking_sum(mu, p, n_max).per_level
+        assert np.allclose(got, want, rtol=rtol, atol=0.0)
+    heaviest = {}
+    for (k, i), mass in sorted(ref.items()):
+        if k and mass > heaviest.get(k, (0.0, -1))[0]:
+            heaviest[k] = (mass, i)
+    if not heaviest:
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights, "pullback", lambda trace, density: mu)
+        boxes = box_decompact_weight(half(), make_grid(mu.size))[1]
+    assert boxes.ks.tolist() == sorted(heaviest)
+    assert boxes.box_masses.tolist() == [heaviest[k][0] for k in boxes.ks]
+    assert boxes.box_index.tolist() == [heaviest[k][1] for k in boxes.ks]
+    added = math.fsum(mu.masses * (boxes.u - 1.0))
+    assert added == pytest.approx(boxes.added_mass, rel=1e-12)
+
+
+def test_luecking_levels_past_the_deepest_corona_are_zero():
+    # atoms within 16 ulp of the circle are snapped onto it or land in
+    # coronas 49-51, so no heap key needs a level past 51
+    k = np.arange(1, 17)
+    z = np.concatenate([(1.0 - k * 2.0**-53) * np.exp(1j * k),
+                        [0.5, 0.9j, 0.999 + 0j]])
+    mu = PullbackMeasure(z, np.arange(1.0, z.size + 1))
+    level, _ = _corona_and_box(dyadic_boxes(mu, 70))
+    assert set(level[:16].tolist()) == {-1, 49, 50, 51}
+    deep = luecking_sum(mu, 0.7, 70).per_level
+    assert deep.tolist() == luecking_sum(mu, 0.7, 51).per_level.tolist() + [0.0] * 19
+    assert np.all(deep[49:52] > 0)
 
 
 def test_luecking_rejects_bad_p():
@@ -603,7 +724,7 @@ def test_annulus_excludes_boundary_atoms():
     locs = np.array([0.5, 1.0 + 0j, outside])
     mu2 = PullbackMeasure(locs, np.array([0.25, 0.75, 0.5]))
     assert annulus_mass(mu2, 1.0) == 0.25
-    assert mu2.locations[2] == 1j and mu2.radii[2] == 1.0
+    assert mu2.locations[2] == 1j and mu2.depth[2] == 0.0
     assert locs[2] == outside and not np.shares_memory(mu2.locations, locs)
 
 
@@ -630,6 +751,12 @@ def test_annulus_hs_extremal_band():
     assert products.max() / products.min() < 3.0
 
 
+def _corona_and_box(key):
+    """Corona n and box j of heap keys 2^n - 1 + j; both -1 for the key -1."""
+    level = np.frexp(key + 1.0)[1] - 1
+    return level, key + 1 - (1 << np.maximum(level, 0))
+
+
 def test_box_partition_exactness():
     # the 2^n aligned boxes of corona n hold its atoms in their angular
     # cells, and their masses sum to the dyadic annulus, atom by atom
@@ -641,7 +768,7 @@ def test_box_partition_exactness():
         g.signed_angles())))
     cases.append(pullback_graded(lens(0.5)))
     for mu in cases:
-        level, box = dyadic_boxes(mu, 10)
+        level, box = _corona_and_box(dyadic_boxes(mu, 10))
         for n in range(0, 11):
             h = 2.0**-n
             sel = level == n
@@ -662,7 +789,7 @@ def test_dilation_edge_atoms_stay_in_corona_one():
     g = make_grid(2**10)
     mu = pullback(g.samples(g.points / 2), 1.0)
     assert abs(dyadic_annulus_mass(mu, 0.5) - 1.0) < 1e-14
-    level, box = dyadic_boxes(mu, 8)
+    level, box = _corona_and_box(dyadic_boxes(mu, 8))
     assert np.all(level == 1)
     masses = np.bincount(box, weights=mu.masses, minlength=2)
     assert masses.size == 2 and np.all(np.abs(masses - 0.5) < 1e-14)
@@ -686,7 +813,7 @@ def test_corona_levels_match_dyadic_annuli_at_the_edges():
     k = np.tile(np.arange(-4, 5), 44)
     r = (1.0 - 2.0 ** -n.astype(float)) * (1.0 + k * 2.0**-52)
     mu = PullbackMeasure(r * np.exp(1j * k), np.ones(r.size))
-    level, _ = dyadic_boxes(mu, 50)
+    level, _ = _corona_and_box(dyadic_boxes(mu, 50))
     assert np.all(level >= 0)
     for m in range(51):
         assert np.sum(level == m) == dyadic_annulus_mass(mu, 2.0**-m)

@@ -9,7 +9,7 @@ import pytest
 from hardylab.grid import GridError, make_grid
 from hardylab.symbols import parse_symbol
 from hardylab.weights import parse_weight, unit_weight
-from hardylab.carleson import PullbackMeasure, pullback_graded
+from hardylab.carleson import PullbackMeasure, luecking_sum, pullback_graded
 from hardylab.operators import (
     SingularSpectrum,
     column_pnorms,
@@ -257,11 +257,25 @@ def test_column_norms_refuse_p_below_one():
         column_pnorms(w, phi, 0.5, 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda w, phi: luecking_sum(PullbackMeasure([0.5j], [1.0]), np.nan, 4),
+    lambda w, phi: column_pnorms(w, phi, np.nan, 4),
+    lambda w, phi: schatten_estimate(singular_values(
+        operator_matrix(w, phi, 8, 8)), np.nan),
+    lambda w, phi: moment_integral(w, phi, np.nan),
+], ids=["luecking_sum", "column_pnorms", "schatten_estimate", "moment_integral"])
+def test_exponents_refuse_nan(call):
+    # a NaN exponent used to pass the range checks, which are False for NaN:
+    # NaN level sums, norms and Schatten value, and a moment read divergent
+    with pytest.raises(ValueError, match="NaN"):
+        call(*_dilation_traces(64))
+
+
 # ---------------------------------------------------------------- kernel route
 
 def _dense_kernel_spectrum(mu):
     """Reference: square roots of the eigenvalues of the formed Gram."""
-    z, m = mu.locations[mu.radii < 1.0], mu.masses[mu.radii < 1.0]
+    z, m = mu.locations[mu.depth > 0.0], mu.masses[mu.depth > 0.0]
     sw = np.sqrt(m)
     gram = sw[:, None] * sw[None, :] / (1.0 - z[:, None] * np.conj(z)[None, :])
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0))
@@ -292,8 +306,9 @@ def test_kernel_takes_6144_atoms():
 def test_kernel_trace_is_total_diagonal():
     mu = pullback_graded(parse_symbol("lens:0.5"), per_octave=8)
     s = embedding_spectrum(mu).values
-    inner = mu.radii < 1.0
-    trace = np.sum(mu.masses[inner] / (1.0 - mu.radii[inner] ** 2))
+    r = np.abs(mu.locations)
+    inner = r < 1.0
+    trace = np.sum(mu.masses[inner] / (1.0 - r[inner] ** 2))
     assert np.sum(s**2) == pytest.approx(trace, rel=1e-12)
 
 
@@ -310,7 +325,7 @@ def test_kernel_matches_dense_eigvalsh():
 
 def test_kernel_memory_below_half_a_dense_gram():
     mu = pullback_graded(parse_symbol("lens:0.5"), per_octave=12)
-    n = int(np.sum(mu.radii < 1.0))
+    n = int(np.sum(mu.depth > 0.0))
     assert n >= 1540
     tracemalloc.start()
     try:
