@@ -68,6 +68,12 @@ def _polar(arg, modulus=None) -> np.ndarray:
     return z
 
 
+def _constant(values):
+    """The one value of a zero-stride array (one broadcast constant), as a
+    one-element view; None for any other array."""
+    return values[:1] if values.size and values.strides == (0,) else None
+
+
 class GridError(ValueError):
     """Invalid grid size or an aliasing-guard violation."""
 
@@ -168,8 +174,9 @@ def refined_mean(values) -> IntegralResult:
     beyond the cap.
     """
     v = np.asarray(values, dtype=float)
-    if v.size and v.strides == (0,):
-        x = float(v[0])
+    one = _constant(v)
+    if one is not None:
+        x = float(one[0])
         return IntegralResult(x, not abs(x) <= MAGNITUDE_CAP)
     with np.errstate(invalid="ignore", over="ignore"):
         mean = float(np.mean(v))

@@ -6,7 +6,8 @@ Two routes to the singular values:
   f -> w (f o phi) in the monomial basis, a Krylov matrix of the analytic
   Toeplitz operator T_phi (Cowen-MacCluer): column n+1 is T_phi applied to
   column n, starting from the coefficients of w.  Built from the first R
-  Taylor coefficients of the (analytic) traces of w and phi, independent
+  Taylor coefficients of the (analytic) traces of w and phi, read from
+  two real FFTs per trace (the real and imaginary parts), independent
   of N, and stable since ||T_phi|| <= ||phi||_inf <= 1.  The columns come
   in blocks of B ~ sqrt(R): each block is the R x R Toeplitz matrix of
   phi^B times the block before it, one matrix product instead of B
@@ -33,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import (BoundarySamples, GridError, IntegralResult,
+from .grid import (BoundarySamples, GridError, IntegralResult, _constant,
                    coefficients_from_fft, refined_mean)
 from .carleson import PullbackMeasure, Series
 
@@ -98,8 +99,8 @@ class SingularSpectrum:
     row_cut: int
     col_cut: int
     grid_size: int
-    source: str = "matrix"
-    floor: float = FIT_FLOOR
+    source: str  # "matrix" or "kernel"
+    floor: float  # noise floor: decay_fit drops values at or below it
 
     def __len__(self):
         return len(self.values)
@@ -107,19 +108,42 @@ class SingularSpectrum:
 
 def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
     """First ``rows`` Taylor coefficients; refuses a non-finite or
-    non-analytic trace."""
-    spectrum = np.fft.fft(trace.values)
-    negative = spectrum[trace.grid.size // 2 + 1:]
-    total = np.vdot(spectrum, spectrum).real
+    non-analytic trace.
+
+    Two real FFTs, A = rfft(a) and B = rfft(b) of the samples a + ib, give
+    the spectrum X_k = A_k + i B_k (0 <= k <= N/2) in place of A, and the
+    conjugate negative frequencies conj(X_{N-k}) = A_k - i B_k (0 < k < N/2)
+    as X_k - 2i B_k in place of B; that extra rounding reaches only the
+    energy sum of the share, where the Nyquist bin counts once, on the
+    positive side.  A zero-stride trace (a constant c, as for the unit
+    weight) runs no FFT: its head is c and zeros, the FFT's own values.
+    """
+    n = trace.grid.size
+    values = np.asarray(trace.values)
+    one = _constant(values)
+    if one is None:
+        spectrum = np.fft.rfft(values.real)
+        ib = np.fft.rfft(values.imag)
+        ib *= 1j
+        spectrum += ib  # X_0 .. X_{N/2}
+        ib *= -2.0
+        ib += spectrum  # A - iB, the conjugate of X_{N-k} at 0 < k < N/2
+        negative = np.vdot(ib[1:n // 2], ib[1:n // 2]).real
+    else:  # X_0 = N c, as the FFT sums it, and X_k = 0 for k > 0
+        spectrum = np.zeros(rows, dtype=complex)
+        with np.errstate(invalid="ignore"):  # inf c gives NaN, refused below
+            spectrum[0] = n * one[0]
+        negative = 0.0
+    total = np.vdot(spectrum, spectrum).real + negative
     if not np.isfinite(total):
         raise GridError(f"{name} trace has non-finite samples")
-    share = np.vdot(negative, negative).real / total if total > 0 else 0.0
+    share = negative / total if total > 0 else 0.0
     if share > ANALYTIC_NEGATIVE_SHARE:
         raise GridError(
             f"{name} trace is not analytic: {share:.3g} of its energy lies at "
             f"negative frequencies (limit {ANALYTIC_NEGATIVE_SHARE:g})"
         )
-    return coefficients_from_fft(spectrum, rows - 1, trace.grid.size)
+    return coefficients_from_fft(spectrum, rows - 1, n)
 
 
 def _block_size(count: int) -> int:
@@ -217,7 +241,9 @@ def embedding_spectrum(mu: PullbackMeasure) -> SingularSpectrum:
     the reported one since s_1^2 >= max d, and sum s_n^2 misses
     trace G = sum m/(1 - |z|^2) by at most floor^2.  One SVD of the n x r
     factor gives the r returned values to an absolute error ~eps s_1.
-    Time and memory are O(n r).
+    Time and memory are O(n r).  The pivot rows are written 64 to a block;
+    the blocks are joined into the r x n factor once and freed before the
+    SVD, so the SVD runs beside one copy of the factor.
 
     Atoms on the unit circle are excluded (the embedding is unbounded
     against boundary mass); their total mass is expected to be zero for the
@@ -242,15 +268,22 @@ def embedding_spectrum(mu: PullbackMeasure) -> SingularSpectrum:
     d = mu.masses[interior] / co
     top = float(d.max()) if d.size else 0.0
     stop = max(FIT_FLOOR, np.sqrt(top) * KERNEL_RELATIVE_FLOOR) ** 2
-    rows = []
+    blocks, r = [], 0
     while d.sum() > stop:
         p = int(np.argmax(d))
         a = z[p]
         kernel = 1.0 / (1.0 - z * np.conj(a))
-        rows.append(g * np.conj(g[p]) * kernel / np.sqrt(d[p]))
+        if r % 64 == 0:
+            blocks.append(np.empty((64, z.size), dtype=complex))
+        blocks[-1][r % 64] = g * np.conj(g[p]) * kernel / np.sqrt(d[p])
+        r += 1
         g = g * (z - a) * kernel  # b_a(a) = 0 retires the pivot exactly
         d = (g.real**2 + g.imag**2) / co
-    vals = np.linalg.svd(np.array(rows), compute_uv=False) if rows else np.zeros(0)
+    vals = np.zeros(0)
+    if blocks:
+        factor = np.concatenate(blocks)[:r]
+        blocks.clear()  # the SVD runs beside one copy of the factor
+        vals = np.linalg.svd(factor, compute_uv=False)
     floor = max(FIT_FLOOR, float(vals[0]) * KERNEL_RELATIVE_FLOOR) if vals.size else FIT_FLOOR
     return SingularSpectrum(values=vals, row_cut=-1, col_cut=z.size - 1,
                             grid_size=z.size, source="kernel", floor=floor)
@@ -264,8 +297,9 @@ def _one_minus_mod_sq(phitrace: BoundarySamples, phi_co) -> np.ndarray:
             dtype=float,
         )
         return co * (2.0 - co)
-    mod = np.abs(np.asarray(phitrace.values))
-    return 1.0 - mod**2
+    base = np.abs(np.asarray(phitrace.values))
+    base *= base
+    return np.subtract(1.0, base, out=base)
 
 
 def hs_norm_boundary(wtrace: BoundarySamples, phitrace: BoundarySamples,
@@ -287,11 +321,20 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
     hugging the circle; dividing by base**alpha (not multiplying by
     base**-alpha) keeps subnormal bases finite.  Divergence is a return
     state; a NaN sample of the weight or the base raises ValueError.
+
+    A zero-stride weight trace (one broadcast constant, as for the unit
+    weight) keeps its one value: |w*|^2 is a zero-stride view, not an
+    N-length array.  The base 1 - |phi*|^2 is built in the buffer of
+    |phi*|, so the temporaries are the base, the integrand and the
+    absolute values :func:`hardylab.grid.refined_mean` reads.
     """
     if not alpha > 0:
         raise ValueError("alpha must be positive, not NaN")
-    dens = np.abs(np.asarray(wtrace.values))
+    w = np.asarray(wtrace.values)
+    one = _constant(w)  # a zero-stride weight trace keeps its one value
+    dens = np.abs(w if one is None else one)
     dens *= dens
+    dens = np.broadcast_to(dens, w.shape)
     base = _one_minus_mod_sq(phitrace, phi_co)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = base**alpha

@@ -366,7 +366,8 @@ class LevelSets:
     """Nested boundary sets F_k = {|phi*| > 1 - h_k} with masses c_k.
 
     ``level_index[j]`` is the deepest k whose set contains sample j, an
-    int8 array (k <= log2(N) - 2); the sets are nested by construction.
+    int8 array (k <= log2(N) - 2), so F_k is ``level_index >= k``; the sets
+    are nested by construction.
     The inclusion at the threshold is strict, so a constant symbol sitting
     exactly on a dyadic level has empty sets from k = 1 on.
     """
@@ -379,9 +380,6 @@ class LevelSets:
     @property
     def k_max(self) -> int:
         return len(self.thresholds) - 1
-
-    def mask(self, k: int) -> np.ndarray:
-        return self.level_index >= k
 
 
 def level_sets(phi: Symbol, grid: BoundaryGrid) -> LevelSets:

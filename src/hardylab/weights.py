@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples, _polar
+from .grid import BoundaryGrid, BoundarySamples, _constant, _polar
 from .outer import NotLogIntegrableError, OuterFunction
 from .symbols import LevelSets, Symbol, lens, level_sets
 from .carleson import Series, _box_masses, dyadic_boxes, pullback
@@ -86,8 +86,9 @@ class Weight:
         gives a zero-stride, read-only density.
         """
         m = np.asarray(self.modulus.values, dtype=float)
-        if m.strides == (0,):
-            return np.broadcast_to(m[:1] ** 2, m.shape)
+        one = _constant(m)
+        if one is not None:
+            return np.broadcast_to(one ** 2, m.shape)
         return m ** 2
 
     def h2_norm_sq(self) -> float:

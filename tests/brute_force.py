@@ -1,15 +1,23 @@
-"""Direct references for the window queries of ``hardylab.carleson``.
+"""Direct references for the window queries of ``hardylab.carleson`` and
+for the buffers ``hardylab.operators`` saves.
 
-Each one tests every atom against a window and sums the atoms inside with
-``math.fsum``, so its only rounding is the final one; :func:`full_sweep`
-instead rounds as the library does, to pin which window the pruned sweep
-picks, and :func:`box_masses` places an atom in its box as the library
-rounds it.
+Each window query tests every atom against a window and sums the atoms
+inside with ``math.fsum``, so its only rounding is the final one;
+:func:`full_sweep` instead rounds as the library does, to pin which window
+the pruned sweep picks, and :func:`box_masses` places an atom in its box as
+the library rounds it.  The operator references keep the plain forms the
+library replaced: one N-point complex FFT per trace (:func:`fft_head`),
+N-length arrays for every factor of a moment integrand
+(:func:`moment_integral`) and a list of pivot rows for the kernel route
+(:func:`pivot_row_spectrum`).
 """
 
 import math
 
 import numpy as np
+
+from hardylab.grid import IntegralResult, coefficients_from_fft, refined_mean
+from hardylab.operators import FIT_FLOOR, KERNEL_RELATIVE_FLOOR
 
 TWO_PI = 2.0 * np.pi
 
@@ -86,3 +94,52 @@ def box_masses(mu, n_max):
                 j = math.ceil(float(a) * (2.0**n / TWO_PI) - 0.5) % 2**n
                 groups.setdefault((n, j), []).append(m)
     return {box: math.fsum(m) for box, m in groups.items()}
+
+
+def fft_head(values, rows):
+    """First ``rows`` Taylor coefficients and the share of energy at the
+    negative frequencies k = N/2 + 1 .. N - 1, from one complex FFT."""
+    n = len(values)
+    spectrum = np.fft.fft(values)
+    negative = spectrum[n // 2 + 1:]
+    total = np.vdot(spectrum, spectrum).real
+    share = np.vdot(negative, negative).real / total if total > 0 else 0.0
+    return coefficients_from_fft(spectrum, rows - 1, n), share
+
+
+def moment_integral(wvalues, phivalues, alpha):
+    """Quadrature of |w|^2 (1 - |phi|^2)^-alpha with every factor an
+    N-length array, and the divergence rule of ``refined_mean``."""
+    dens = np.abs(np.array(wvalues)) ** 2
+    base = 1.0 - np.abs(np.asarray(phivalues)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = dens / base**alpha
+    integrand[~(base > 0.0)] = np.inf
+    bad = ~np.isfinite(integrand)
+    if np.any(bad):
+        if np.any(dens[bad] > 0.0):
+            return IntegralResult(float("inf"), True)
+        integrand[bad] = 0.0
+    return refined_mean(integrand)
+
+
+def pivot_row_spectrum(mu):
+    """Singular values of the kernel-route factor with its pivot rows kept
+    in a list and stacked by ``np.array``, the interior atoms as given."""
+    interior = mu.depth > 0.0
+    z = mu.locations[interior]
+    r = np.abs(z)
+    co = (1.0 - r) * (1.0 + r)
+    g = np.sqrt(mu.masses[interior]).astype(complex)
+    d = mu.masses[interior] / co
+    top = float(d.max()) if d.size else 0.0
+    stop = max(FIT_FLOOR, np.sqrt(top) * KERNEL_RELATIVE_FLOOR) ** 2
+    rows = []
+    while d.sum() > stop:
+        p = int(np.argmax(d))
+        a = z[p]
+        kernel = 1.0 / (1.0 - z * np.conj(a))
+        rows.append(g * np.conj(g[p]) * kernel / np.sqrt(d[p]))
+        g = g * (z - a) * kernel
+        d = (g.real**2 + g.imag**2) / co
+    return np.linalg.svd(np.array(rows), compute_uv=False) if rows else np.zeros(0)

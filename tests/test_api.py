@@ -25,8 +25,6 @@ SETTINGS = [
     "carleson.pullback_graded(density_fn)",
     "carleson.pullback_graded(octaves)",
     "carleson.pullback_graded(per_octave)",
-    "operators.SingularSpectrum.source",
-    "operators.SingularSpectrum.floor",
     "operators.hs_norm_boundary(phi_co)",
     "operators.moment_integral(phi_co)",
 ]

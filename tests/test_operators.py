@@ -6,11 +6,13 @@ from math import comb
 import numpy as np
 import pytest
 
+from hardylab import operators
 from hardylab.grid import GridError, make_grid
 from hardylab.symbols import parse_symbol
 from hardylab.weights import parse_weight, unit_weight
 from hardylab.carleson import PullbackMeasure, luecking_sum, pullback_graded
 from hardylab.operators import (
+    ANALYTIC_NEGATIVE_SHARE,
     SingularSpectrum,
     column_pnorms,
     decay_fit,
@@ -22,6 +24,8 @@ from hardylab.operators import (
     singular_values,
     truncation_study,
 )
+
+import brute_force
 
 C = 0.5  # dilation factor
 
@@ -95,7 +99,8 @@ def test_schatten_estimate_reads_the_series_verdict():
     # sum n^-0.8 diverges (tail power 0.8 < 1), though the last quartile of
     # these 64 terms holds under 10% of their sum
     n = np.arange(1, 65, dtype=float)
-    sp = SingularSpectrum(values=n**-0.8, row_cut=63, col_cut=63, grid_size=256)
+    sp = SingularSpectrum(values=n**-0.8, row_cut=63, col_cut=63, grid_size=256,
+                          source="matrix", floor=1e-12)
     est = schatten_estimate(sp, 1.0)
     assert est.value == pytest.approx(np.sum(n**-0.8), rel=1e-12)
     assert est.series.verdict != "converging"
@@ -336,6 +341,25 @@ def test_kernel_memory_below_half_a_dense_gram():
     assert peak < n * n * 16 / 2
 
 
+def _circle_measure(radius, atoms):
+    return PullbackMeasure(radius * np.exp(2j * np.pi * (np.arange(atoms) + 0.5) / atoms),
+                           np.full(atoms, 1.0 / atoms))
+
+
+@pytest.mark.parametrize("mu", [
+    _circle_measure(C, 16),  # 16 pivot rows, one partial block
+    _circle_measure(0.9, 64),  # 64 rows, one full block
+    _circle_measure(0.9, 65),  # 65 rows
+    _circle_measure(1.0, 32),  # no interior atom, no row
+    pullback_graded(parse_symbol("lens:0.3"), per_octave=8),
+    pullback_graded(parse_symbol("lens:0.7"), per_octave=8),  # 443 rows
+], ids=["16", "64", "65", "boundary", "lens:0.3", "lens:0.7"])
+def test_kernel_blocks_match_a_row_list(mu):
+    s = embedding_spectrum(mu).values
+    ref = brute_force.pivot_row_spectrum(mu)
+    assert s.dtype == ref.dtype and np.array_equal(s, ref)
+
+
 def test_kernel_refuses_co_radius_lost_to_rounding():
     # half has 1 - |phi| ~ t^2/8 at the contact point; 578 atoms of the
     # default grading sit closer to the circle than 1.1e-8
@@ -362,6 +386,82 @@ def test_refuses_non_analytic_symbol():
     w = unit_weight(g).trace
     with pytest.raises(GridError, match="symbol trace is not analytic"):
         operator_matrix(w, g.samples(0.5 * np.conj(g.points)), 16, 16)
+
+
+def _trace_from_spectrum(spectrum):
+    """Samples on the offset grid whose N-point FFT is ``spectrum``."""
+    n = len(spectrum)
+    return np.fft.ifft(spectrum * np.exp(1j * np.pi * np.arange(n) / n))
+
+
+def _spectrum(n, kind, rng):
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    k = np.arange(n)
+    if kind == "analytic":  # negative frequencies at 5% of the amplitude
+        x[k > n // 2] *= 0.05
+    elif kind == "nyquist":
+        x[k != n // 2] = 0.0
+    elif kind == "negative":
+        x[k <= n // 2] = 0.0
+    elif kind.startswith("share"):  # e^{it} and e^{-it} at a set share
+        share = ANALYTIC_NEGATIVE_SHARE * (1.0 + float(kind[5:]))
+        x[:] = 0.0
+        x[1], x[n - 1] = np.sqrt(1.0 - share), np.sqrt(share)
+    return x
+
+
+@pytest.mark.parametrize("n", [8, 1 << 10, 1 << 16])
+@pytest.mark.parametrize("kind", ["analytic", "random", "nyquist", "negative",
+                                  "share-1e-9", "share+1e-9"])
+def test_real_fft_head_matches_the_complex_fft(n, kind):
+    # the head and the share, from two real FFTs, against one complex FFT:
+    # the same verdict, the same message, the head within rounding
+    g = make_grid(n)
+    x = _trace_from_spectrum(_spectrum(n, kind, np.random.default_rng(n)))
+    rows = min(n // 2 + 1, 129)  # through the Nyquist bin at n = 8
+    ref, share = brute_force.fft_head(x, rows)
+    if share > ANALYTIC_NEGATIVE_SHARE:
+        assert kind in ("random", "negative", "share+1e-9")
+        with pytest.raises(GridError) as err:
+            operators._analytic_head(g.samples(x), rows, "weight")
+        assert str(err.value) == (
+            f"weight trace is not analytic: {share:.3g} of its energy lies at "
+            f"negative frequencies (limit {ANALYTIC_NEGATIVE_SHARE:g})")
+        return
+    assert kind in ("analytic", "nyquist", "share-1e-9")
+    head = operators._analytic_head(g.samples(x), rows, "weight")
+    rms = np.sqrt(np.mean(np.abs(x) ** 2))
+    tol = np.log2(n) * np.finfo(float).eps * rms
+    assert np.max(np.abs(head - ref)) <= tol
+
+
+@pytest.mark.parametrize("n", [8, 1 << 10, 1 << 16])
+@pytest.mark.parametrize("c", [1.0, 0.3 - 0.7j])
+def test_constant_trace_head_is_the_fft_head(n, c):
+    # a zero-stride trace runs no transform; the FFT of a constant is N c
+    # at k = 0 and exactly 0 elsewhere, so the heads agree bit for bit
+    x = np.broadcast_to(np.complex128(c), n)
+    rows = min(n // 2 + 1, 129)
+    head = operators._analytic_head(make_grid(n).samples(x), rows, "weight")
+    assert np.array_equal(head, brute_force.fft_head(x, rows)[0])
+
+
+@pytest.mark.parametrize("c", [np.nan, complex(0.5, np.nan), np.inf])
+def test_constant_trace_head_refuses_non_finite(c):
+    x = np.broadcast_to(np.complex128(c), 64)
+    with pytest.raises(GridError, match="^weight trace has non-finite samples$"):
+        operators._analytic_head(make_grid(64).samples(x), 8, "weight")
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_real_fft_head_refuses_nan_in_either_part(part):
+    n = 1 << 10
+    g = make_grid(n)
+    x = _trace_from_spectrum(_spectrum(n, "analytic", np.random.default_rng(3)))
+    getattr(x, part)[5] = np.nan
+    assert not np.all(np.isfinite(brute_force.fft_head(x, 16)[0]))
+    with pytest.raises(GridError, match="^symbol trace has non-finite samples$"):
+        operators._analytic_head(g.samples(x), 16, "symbol")
 
 
 @pytest.mark.parametrize("spec,wspec", [("lens:0.5", "lensdecomp"), ("lens:0.5", "hs"),
@@ -402,6 +502,25 @@ def test_moment_integral_near_drift_tolerance(wspec, divergent):
     co = phi.co_modulus_of_angle(g.signed_angles())
     w = parse_weight(wspec, phi, g).trace
     assert moment_integral(w, phi.trace(g), 1.0, phi_co=co).divergent == divergent
+
+
+@pytest.mark.parametrize("spec", ["lens:0.5", "half"])
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+def test_moment_integral_of_the_unit_weight_holds_no_weight_array(spec, alpha):
+    # the zero-stride unit trace stays one value and 1 - |phi*|^2 is built
+    # in the buffer of |phi*|: bit-identical to N-length factors, with a
+    # traced peak of the base, the integrand and refined_mean's |v|
+    g = make_grid(1 << 16)
+    w = unit_weight(g).trace
+    phi = g.samples(np.exp(0.3j) * parse_symbol(spec).trace(g).values)
+    tracemalloc.start()
+    try:
+        m = moment_integral(w, phi, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m == brute_force.moment_integral(w.values, phi.values, alpha)
+    assert peak < 3.5 * g.size * 8
 
 
 def test_moment_integral_rejects_bad_alpha():

@@ -352,7 +352,7 @@ def test_level_sets_nested_masks():
     g = make_grid(2**12)
     ls = level_sets(half(), g)
     for k in range(1, ls.k_max + 1):
-        assert np.all(ls.mask(k) <= ls.mask(k - 1))
+        assert np.all((ls.level_index >= k) <= (ls.level_index >= k - 1))
     assert np.all(np.diff(ls.masses) <= 0)
 
 

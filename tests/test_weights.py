@@ -130,7 +130,7 @@ def test_compactify_beta_two():
     assert sched.series.total < 1.0
     # |w*| = 1/n! style products: on F_{k_n} the modulus is at most 1/n
     for n, k_n in enumerate(sched.ks, start=1):
-        on_set = ls.mask(int(k_n))
+        on_set = ls.level_index >= k_n
         if on_set.any():
             assert np.max(w.modulus.values[on_set]) <= 1.0 / n + 1e-12
     _outer_normalization(w)
@@ -158,7 +158,7 @@ def test_staircase_single_level():
     ls = level_sets(beta_exp(2.0), GRID)
     delta = np.concatenate([[0.5], np.ones(8)])
     w, _ = staircase_weight(ls, delta)
-    on1 = ls.mask(1)
+    on1 = ls.level_index >= 1
     assert np.allclose(w.modulus.values[~on1], 1.0)
     assert np.allclose(w.modulus.values[on1], 0.5)
 
