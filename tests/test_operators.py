@@ -120,6 +120,14 @@ def test_decay_fit_dilation_bias_is_pinned():
     assert fit.b == pytest.approx(0.300, abs=0.01)
 
 
+def test_decay_fit_refuses_a_jagged_spectrum():
+    # s_n alternating between 1e-2 and 1e-10: no line fits log log(1/s_n)
+    s = np.where(np.arange(64) % 2 == 0, 1e-2, 1e-10)
+    fit = decay_fit(SingularSpectrum(values=s, row_cut=63, col_cut=63, grid_size=256,
+                                     source="matrix", floor=1e-12))
+    assert not fit.ok and fit.residual > 0.5 and fit.window == (9, 64)
+
+
 @pytest.mark.parametrize("spec,wspec", [("lens:0.5", "hs"), ("half", "unit"),
                                         ("betaexp:0.5", "hs")])
 def test_singular_values_sum_to_frobenius(spec, wspec):
@@ -135,6 +143,13 @@ def test_truncation_study_stable_on_dilation():
                              [(32, 32, 1 << 10), (64, 64, 1 << 11), (128, 128, 1 << 12)])
     assert study.stable_through(10)
     assert len(study.flagged()) == 0 or study.flagged()[0] > 10
+
+
+@pytest.mark.parametrize("cuts", [[(64, 64, 1 << 12), (32, 64, 1 << 12)],
+                                  [(32, 32, 1 << 10), (64, 64, 1 << 12), (64, 64, 1 << 11)]])
+def test_truncation_study_refuses_a_shrinking_cut(cuts):
+    with pytest.raises(ValueError, match="nondecreasing in every component"):
+        truncation_study(_dilation_traces, cuts)
 
 
 def test_matches_fft_of_products_reference():
@@ -346,18 +361,34 @@ def _circle_measure(radius, atoms):
                            np.full(atoms, 1.0 / atoms))
 
 
+def _random_interior_measure(seed, atoms=800):
+    # depths spread over 1e-7..1: pivot rows graded over many decades
+    rng = np.random.default_rng(seed)
+    depth = 10.0 ** rng.uniform(-7.0, 0.0, atoms)
+    z = (1.0 - depth) * np.exp(2j * np.pi * rng.random(atoms))
+    return PullbackMeasure(z, rng.random(atoms) / atoms)
+
+
 @pytest.mark.parametrize("mu", [
     _circle_measure(C, 16),  # 16 pivot rows, one partial block
     _circle_measure(0.9, 64),  # 64 rows, one full block
     _circle_measure(0.9, 65),  # 65 rows
     _circle_measure(1.0, 32),  # no interior atom, no row
+    _circle_measure(0.95, 2048),  # 445 rows, seven blocks
     pullback_graded(parse_symbol("lens:0.3"), per_octave=8),
     pullback_graded(parse_symbol("lens:0.7"), per_octave=8),  # 443 rows
-], ids=["16", "64", "65", "boundary", "lens:0.3", "lens:0.7"])
+    _random_interior_measure(1),
+    _random_interior_measure(2),
+    _random_interior_measure(3),
+], ids=["16", "64", "65", "boundary", "circle:0.95", "lens:0.3", "lens:0.7",
+        "random1", "random2", "random3"])
 def test_kernel_blocks_match_a_row_list(mu):
+    # the Gram of the row blocks against the SVD of the stacked rows: the
+    # same count, and every value to a relative 1e-11 down to the floor
     s = embedding_spectrum(mu).values
     ref = brute_force.pivot_row_spectrum(mu)
-    assert s.dtype == ref.dtype and np.array_equal(s, ref)
+    assert s.dtype == ref.dtype and s.shape == ref.shape
+    assert np.all(np.abs(s - ref) <= 1e-11 * ref)
 
 
 def test_kernel_refuses_co_radius_lost_to_rounding():
