@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TWO_PI, BoundarySamples, signed_angle
+from .grid import TWO_PI, BoundarySamples, _block_size
 from .symbols import Symbol
 
 __all__ = [
@@ -134,10 +134,7 @@ def pullback(phi_trace: BoundarySamples, density) -> PullbackMeasure:
     quadrature.
     """
     n = phi_trace.grid.size
-    if isinstance(density, BoundarySamples):
-        dv = np.asarray(density.values, dtype=float)
-    else:
-        dv = np.asarray(density, dtype=float)
+    dv = np.asarray(density, dtype=float)
     if dv.shape not in ((), (n,)):
         raise ValueError("density must match the trace grid")
     if not (np.all(dv >= 0) and np.isfinite(dv.sum())):
@@ -147,39 +144,34 @@ def pullback(phi_trace: BoundarySamples, density) -> PullbackMeasure:
     return PullbackMeasure(phi_trace.values, masses)
 
 
-def graded_boundary(singular_angles, octaves: int = 32, per_octave: int = 24):
+def graded_boundary(singular_angles, octaves: int, per_octave: int):
     """Dyadically graded discretization of the arc measure of the circle.
 
-    Around every singular angle, octave intervals (t0 2^{-k-1}, t0 2^{-k}]
-    on both sides are split into ``per_octave`` equal cells represented by
-    their midpoints; one core atom per side absorbs the innermost interval,
-    so the weights sum to exactly the full arc measure 1.
+    t0 is half the smallest gap between the singular angles (mod 2 pi).  On
+    either side of each, the octave (t0 2^-(k+1), t0 2^-k], k < K = ``octaves``,
+    holds P = ``per_octave`` cells: cell j at offset t0 2^-k (P + j + 1/2)/(2P),
+    of arc measure t0 2^-k/(2P) / (2 pi).  One core atom per side, at offset
+    t0 2^-K / 2, absorbs (0, t0 2^-K].  Atoms run by sorted angle, side (+, -),
+    octave and cell.  The weights sum to 1 when the singular angles are
+    equally spaced; coincident ones (t0 = 0) are refused.
     """
     if octaves < 0 or per_octave < 1:
         raise ValueError("graded sampling needs octaves >= 0 and "
                          "per_octave >= 1")
-    sing = sorted(a % TWO_PI for a in singular_angles)
-    if not sing:
+    sing = np.sort(np.asarray(singular_angles, dtype=float) % TWO_PI)
+    if not sing.size:
         raise ValueError("graded sampling needs at least one singular angle")
-    if len(sing) == 1:
-        t0 = np.pi
-    else:
-        gaps = np.diff(sing + [sing[0] + TWO_PI])
-        t0 = float(gaps.min()) / 2.0
-    angles, weights = [], []
-    for base in sing:
-        for sgn in (1.0, -1.0):
-            for k in range(octaves):
-                hi = t0 * 2.0**-k
-                lo = hi / 2.0
-                edges = np.linspace(lo, hi, per_octave + 1)
-                mids = 0.5 * (edges[1:] + edges[:-1])
-                angles.append(base + sgn * mids)
-                weights.append(np.diff(edges) / TWO_PI)
-            core = t0 * 2.0**-octaves
-            angles.append(np.array([base + sgn * core / 2.0]))
-            weights.append(np.array([core / TWO_PI]))
-    return np.concatenate(angles), np.concatenate(weights)
+    t0 = float(np.diff(sing, append=sing[0] + TWO_PI).min()) / 2.0
+    if not t0 > 0.0:
+        raise ValueError("graded sampling needs distinct singular angles "
+                         "(mod 2 pi)")
+    p = per_octave
+    outer = t0 * 2.0 ** -np.arange(octaves + 1)  # t0 2^-k; k = K is the core
+    offset = np.append(np.outer(outer[:-1], (p + 0.5 + np.arange(p)) / (2 * p)),
+                       outer[-1] / 2.0)
+    width = np.append(np.repeat(outer[:-1] / (2 * p), p), outer[-1])
+    angles = sing[:, None, None] + np.array([1.0, -1.0])[:, None] * offset
+    return angles.ravel(), np.tile(width / TWO_PI, 2 * sing.size)
 
 
 def pullback_graded(
@@ -199,8 +191,8 @@ def pullback_graded(
     """
     angles, weights = graded_boundary(phi.singular_angles, octaves, per_octave)
     # singular angles in [0, 2 pi) and offsets below pi put the cells in
-    # (-pi, 3 pi), which signed_angle maps onto (-pi, pi] exactly
-    signed = signed_angle(angles)
+    # (-pi, 3 pi); 2 pi comes off where an angle passes pi, exactly (Sterbenz)
+    signed = np.where(angles > np.pi, angles - TWO_PI, angles)
     locations = phi.trace_of_angle(signed)
     if density_fn is not None:
         dens = np.asarray(density_fn(signed), dtype=float)
@@ -243,9 +235,11 @@ def dyadic_boxes(mu: PullbackMeasure, n_max: int) -> np.ndarray:
     return key
 
 
-def _box_masses(key, masses) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending heap keys of the boxes that hold mass, and each box's mass
-    summed in atom order, from the atoms' keys (-1 outside every box).
+def _box_masses(key, masses, n_max: int):
+    """Ascending heap keys of the boxes that hold mass, each box's mass
+    summed in atom order, and the corona table ``edges``, from the atoms'
+    keys (-1 outside every box): the boxes of corona n <= n_max are
+    keys[edges[n]:edges[n + 1]].
 
     Bins every key while there are no more keys than atoms in boxes, else
     only the keys that occur.
@@ -255,11 +249,15 @@ def _box_masses(key, masses) -> tuple[np.ndarray, np.ndarray]:
         # bin 0 gathers the atoms outside every box
         box = np.bincount(key + 1, weights=masses)[1:]
         keys = np.flatnonzero(box > 0)
-        return keys, box[keys]
-    keys, slot = np.unique(key[inside], return_inverse=True)
-    box = np.bincount(slot, weights=masses[inside])
-    held = box > 0
-    return keys[held], box[held]
+        box = box[keys]
+    else:
+        keys, slot = np.unique(key[inside], return_inverse=True)
+        box = np.bincount(slot, weights=masses[inside])
+        held = box > 0
+        keys, box = keys[held], box[held]
+    # key + 1 = 2^n + j for box j of corona n
+    edges = np.searchsorted(np.frexp(keys + 1.0)[1] - 1, np.arange(n_max + 2))
+    return keys, box, edges
 
 
 @dataclass(frozen=True)
@@ -278,15 +276,11 @@ class Series:
     def __post_init__(self):
         indices = np.asarray(self.indices)
         terms = np.asarray(self.terms, dtype=float)
-        if indices.shape != terms.shape or terms.ndim != 1 or np.any(terms < 0):
+        if indices.shape != terms.shape or terms.ndim != 1 or not np.all(terms >= 0):
             raise ValueError("a series takes equal-length 1-d indices and "
-                             "nonnegative terms")
+                             "nonnegative terms, not NaN")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "terms", terms)
-
-    @property
-    def partial_sums(self) -> np.ndarray:
-        return np.cumsum(self.terms)
 
     @property
     def total(self) -> float:
@@ -348,9 +342,7 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     """
     if not p > 0:
         raise ValueError("Schatten exponent must be positive, not NaN")
-    keys, masses = _box_masses(dyadic_boxes(mu, n_max), mu.masses)
-    # key + 1 = 2^n + j for box j of corona n
-    edges = np.searchsorted(np.frexp(keys + 1.0)[1] - 1, np.arange(n_max + 2))
+    _, masses, edges = _box_masses(dyadic_boxes(mu, n_max), mu.masses, n_max)
     per_level = np.zeros(n_max + 1)
     for n in range(n_max + 1):
         box = masses[edges[n]:edges[n + 1]]
@@ -427,7 +419,7 @@ def _window_max(ang, mas, h):
     if k < PRUNED_SWEEP_MIN:
         start = np.arange(k)
     else:
-        b = 1 << (k.bit_length() - 1) // 2
+        b = _block_size(k)
         heads = np.arange(0, k, b)
         # the windows from the heads, then from the segments' last atoms
         top = reach(np.concatenate((heads, np.minimum(heads + b, k) - 1)))[1]

@@ -10,12 +10,17 @@ A grid holds only its size.  Its angles, signed angles and points are
 computed on each access, and every access returns a new, writable array.
 
 The angles the library makes move between the two ranges by one masked
-shift of 2 pi, not by a float modulo: :func:`signed_angle` takes 2 pi off
-where an angle passes pi, and :class:`hardylab.carleson.PullbackMeasure`
-adds it where ``np.angle`` is negative.  Only the table angles of
+shift of 2 pi, not by a float modulo:
+:func:`hardylab.carleson.pullback_graded` takes 2 pi off where an angle
+passes pi, and :class:`hardylab.carleson.PullbackMeasure` adds it where
+``np.angle`` is negative.  Only the table angles of
 :func:`hardylab.symbols.custom_outer`, which may be anything, are reduced
 by a modulo.  A point r e^{it} is built from cos t and sin t in one complex
 buffer (:func:`_polar`), not by a complex exponential.
+
+Work done by blocks (the Krylov and moment blocks of the matrix route, the
+Horner blocks of an outer function, the segments of the pruned Carleson
+sweep) takes B = 2^floor(log2(count)/2) from one rule, :func:`_block_size`.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ __all__ = [
     "GridError",
     "IntegralResult",
     "make_grid",
-    "signed_angle",
-    "quadrature",
     "coefficients_from_fft",
     "log_integral",
     "refined_mean",
@@ -49,10 +52,9 @@ MAGNITUDE_CAP = 1e6
 DRIFT_TOL = 0.03
 
 
-def signed_angle(angles) -> np.ndarray:
-    """Angles in (-pi, 3 pi) mapped to (-pi, pi]: 2 pi comes off where an
-    angle passes pi, exactly (Sterbenz), and the rest are kept as given."""
-    return np.where(angles > np.pi, angles - TWO_PI, angles)
+def _block_size(count: int) -> int:
+    """Largest power of two at most sqrt(count), the one block rule."""
+    return 1 << (count.bit_length() - 1) // 2
 
 
 def _polar(arg, modulus=None) -> np.ndarray:
@@ -147,11 +149,6 @@ def make_grid(n: int) -> BoundaryGrid:
     if n < 8 or (n & (n - 1)) != 0:
         raise GridError(f"grid size must be a power of two >= 8, got {n}")
     return BoundaryGrid(n)
-
-
-def quadrature(f: BoundarySamples) -> complex:
-    """Mean over the grid: exact for trigonometric polynomials of degree < N."""
-    return complex(np.mean(f.values))
 
 
 def coefficients_from_fft(spectrum: np.ndarray, m: int, n: int) -> np.ndarray:

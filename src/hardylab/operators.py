@@ -34,8 +34,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import (BoundarySamples, GridError, IntegralResult, _constant,
-                   coefficients_from_fft, refined_mean)
+from .grid import (BoundarySamples, GridError, IntegralResult, _block_size,
+                   _constant, coefficients_from_fft, refined_mean)
 from .carleson import PullbackMeasure, Series
 
 __all__ = [
@@ -146,11 +146,6 @@ def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
     return coefficients_from_fft(spectrum, rows - 1, n)
 
 
-def _block_size(count: int) -> int:
-    """Largest power of two at most sqrt(count): B powers per block."""
-    return 1 << (count.bit_length() - 1) // 2
-
-
 def _lower_toeplitz(column: np.ndarray) -> np.ndarray:
     k = np.arange(column.size)
     return np.tril(column[k[:, None] - k])
@@ -181,14 +176,15 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
     Both traces must be finite and analytic: one with more than 1% of its
     energy at negative frequencies (e.g. the flat-phase trace of a
     log-divergent weight) raises GridError, as does a NaN or infinite
-    sample.  Cuts at or beyond N/4 are rejected; the guard keeps the
-    coefficients of w and phi clear of aliasing.
+    sample.  Negative cuts and cuts at or beyond N/4 are rejected; the
+    guard keeps the coefficients of w and phi clear of aliasing.
     """
     if wtrace.grid != phitrace.grid:
         raise GridError("traces must share a grid")
     n = wtrace.grid.size
-    if row_cut >= n // 4 or col_cut >= n // 4:
-        raise GridError(f"cuts must stay below N/4 = {n // 4}")
+    if not (0 <= row_cut < n // 4 and 0 <= col_cut < n // 4):
+        raise GridError(f"cuts must lie in 0..N/4 - 1 = {n // 4 - 1}, got "
+                        f"row_cut={row_cut}, col_cut={col_cut}")
     rows, cols = row_cut + 1, col_cut + 1
     phi = _analytic_head(phitrace, rows, "symbol")
     toeplitz = _lower_toeplitz(phi)
@@ -295,27 +291,14 @@ def embedding_spectrum(mu: PullbackMeasure) -> SingularSpectrum:
                             grid_size=z.size, source="kernel", floor=floor)
 
 
-def _one_minus_mod_sq(phitrace: BoundarySamples, phi_co) -> np.ndarray:
-    """1 - |phi*|^2, preferring a cancellation-free co-modulus when given."""
-    if phi_co is not None:
-        co = np.asarray(
-            phi_co.values if isinstance(phi_co, BoundarySamples) else phi_co,
-            dtype=float,
-        )
-        return co * (2.0 - co)
-    base = np.abs(np.asarray(phitrace.values))
-    base *= base
-    return np.subtract(1.0, base, out=base)
-
-
-def hs_norm_boundary(wtrace: BoundarySamples, phitrace: BoundarySamples,
-                     phi_co=None) -> IntegralResult:
+def hs_norm_boundary(wtrace: BoundarySamples,
+                     phitrace: BoundarySamples) -> IntegralResult:
     """Quadrature of |w*|^2/(1 - |phi*|^2): the Hilbert-Schmidt norm squared.
 
     Equals the sum over n of the squared norms of the images of the
     monomials; this is ``moment_integral`` at alpha = 1.
     """
-    return moment_integral(wtrace, phitrace, 1.0, phi_co=phi_co)
+    return moment_integral(wtrace, phitrace, 1.0)
 
 
 def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
@@ -323,10 +306,11 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
     """Quadrature of |w*|^2 (1 - |phi*|^2)^{-alpha}, with the divergence rule
     of :func:`hardylab.grid.refined_mean`.
 
-    ``phi_co`` (samples of 1 - |phi*|) avoids cancellation for symbols
-    hugging the circle; dividing by base**alpha (not multiplying by
-    base**-alpha) keeps subnormal bases finite.  Divergence is a return
-    state; a NaN sample of the weight or the base raises ValueError.
+    ``phi_co`` (an array of the samples of 1 - |phi*|) avoids cancellation
+    for symbols hugging the circle, by the base co (2 - co); dividing by
+    base**alpha (not multiplying by base**-alpha) keeps subnormal bases
+    finite.  Divergence is a return state; a NaN sample of the weight or the
+    base raises ValueError.
 
     A zero-stride weight trace (one broadcast constant, as for the unit
     weight) keeps its one value: |w*|^2 is a zero-stride view, not an
@@ -341,7 +325,13 @@ def moment_integral(wtrace: BoundarySamples, phitrace: BoundarySamples,
     dens = np.abs(w if one is None else one)
     dens *= dens
     dens = np.broadcast_to(dens, w.shape)
-    base = _one_minus_mod_sq(phitrace, phi_co)
+    if phi_co is None:
+        base = np.abs(np.asarray(phitrace.values))
+        base *= base
+        np.subtract(1.0, base, out=base)
+    else:
+        co = np.asarray(phi_co, dtype=float)
+        base = co * (2.0 - co)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = base**alpha
         np.divide(dens, integrand, out=integrand)
@@ -400,6 +390,8 @@ def column_pnorms(wtrace: BoundarySamples, phitrace: BoundarySamples,
     """
     if not p >= 1:
         raise ValueError("Hardy exponent must be >= 1, not NaN")
+    if not n_max >= 0:
+        raise ValueError(f"column cut n_max must be >= 0, got {n_max}")
     w = np.asarray(wtrace.values)
     phi = np.asarray(phitrace.values)
     b = _block_size(n_max + 1)
@@ -468,11 +460,6 @@ class TruncationStudy:
     cuts: tuple
     spectra: tuple
     changes: tuple  # one array per consecutive pair
-
-    def stable_through(self, count: int) -> bool:
-        """True when s_1..s_count moved less than STUDY_TOL at every doubling."""
-        return all(len(ch) >= count and float(np.max(ch[:count])) < STUDY_TOL
-                   for ch in self.changes)
 
     def flagged(self) -> np.ndarray:
         """1-based indices whose last-pair change exceeds STUDY_TOL."""

@@ -37,8 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (BoundaryGrid, BoundarySamples, _polar, coefficients_from_fft,
-                   refined_mean)
+from .grid import (BoundaryGrid, BoundarySamples, _block_size, _polar,
+                   coefficients_from_fft, refined_mean)
 
 __all__ = [
     "NotLogIntegrableError",
@@ -116,7 +116,7 @@ class OuterFunction:
         n = int(self.grid.size)
         c = coefficients_from_fft(np.fft.rfft(self.log_modulus), n // 2 - 1, n)
         c[1:] *= 2.0
-        return c.reshape(-1, 1 << (n.bit_length() - 1) // 2)
+        return c.reshape(-1, _block_size(n))
 
     def interior(self) -> Callable:
         """The evaluator z -> exp(U(z)).  It holds the N/2 Taylor

@@ -318,14 +318,16 @@ def custom_outer(angles, modulus) -> Symbol:
     """Outer symbol from a table of (angle, modulus) boundary samples.
 
     Angles may be given in [0, 2*pi) or (-pi, pi]; the modulus is
-    interpolated periodically.  Values must lie in (0, 1].
+    interpolated periodically.  Angles must be finite, values in (0, 1].
     """
-    a = np.asarray(angles, dtype=float) % TWO_PI
+    a = np.asarray(angles, dtype=float)
     m = np.asarray(modulus, dtype=float)
     if a.shape != m.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need matching 1-d angle and modulus tables")
-    if np.any(m <= 0.0) or np.any(m > 1.0):
-        raise ValueError("custom outer modulus must have values in (0, 1]")
+    if not (np.all(np.isfinite(a)) and np.all(m > 0.0) and np.all(m <= 1.0)):
+        raise ValueError("custom outer angles must be finite and the modulus "
+                         "in (0, 1], not NaN")
+    a = a % TWO_PI
     order = np.argsort(a)
     a, m = a[order], m[order]
     a_ext = np.concatenate(([a[-1] - TWO_PI], a, [a[0] + TWO_PI]))
@@ -347,8 +349,8 @@ def custom_outer(angles, modulus) -> Symbol:
 def constant(c: complex) -> Symbol:
     """Constant symbol phi ≡ c with |c| < 1; diagnostic use."""
     c = complex(c)
-    if abs(c) >= 1.0:
-        raise ValueError("constant symbol must lie strictly inside the disk")
+    if not abs(c) < 1.0:
+        raise ValueError("constant symbol must lie inside the disk, not NaN")
 
     return Symbol(
         kind="const",

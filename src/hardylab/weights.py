@@ -91,9 +91,6 @@ class Weight:
             return np.broadcast_to(one ** 2, m.shape)
         return m ** 2
 
-    def h2_norm_sq(self) -> float:
-        return float(np.mean(self.density()))
-
 
 def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
             log_modulus: np.ndarray) -> Weight:
@@ -139,18 +136,18 @@ def default_gauge(t):
 def power_weight(phi: Symbol, grid: BoundaryGrid, exponent) -> Weight:
     """Weight with |w*| = (1 - |phi*|)^K, or gauge form (1-|phi*|)^{g(|phi*|)}.
 
-    ``exponent`` is a constant K >= 0 (K = 0 passes the unit weight
-    through) or a nondecreasing gauge callable evaluated at the modulus.
+    ``exponent`` is a finite constant K >= 0 (K = 0 passes the unit weight
+    through) or a nondecreasing gauge callable, >= 1 and not NaN at the modulus.
     """
     co = phi.co_modulus(grid)
     if callable(exponent):
         expo = np.asarray(exponent(1.0 - co.values), dtype=float)
-        if np.any(expo < 1.0):
-            raise WeightError("gauge values must be >= 1")
+        if not np.all(expo >= 1.0):
+            raise WeightError("gauge values must be >= 1, not NaN")
         return _co_power("gauge", co, expo)
     expo = float(exponent)
-    if expo < 0:
-        raise WeightError("power exponent must be >= 0")
+    if not 0.0 <= expo < np.inf:
+        raise WeightError(f"power exponent must be finite and >= 0, got {expo}")
     if expo == 0.0:
         return unit_weight(co.grid)
     return _co_power(f"power:{expo:g}", co, expo)
@@ -229,8 +226,8 @@ def staircase_weight(levels: LevelSets, delta: Sequence[float]):
     "divergent staircase" with the verdict and its tail exponent.
     """
     d = np.asarray(delta, dtype=float)
-    if np.any(d < 0) or np.any(d > 1):
-        raise WeightError("staircase deltas must lie in (0, 1]")
+    if not np.all((d >= 0) & (d <= 1)):
+        raise WeightError("staircase deltas must lie in (0, 1], not NaN")
     if np.any(d == 0):
         k = int(np.flatnonzero(d == 0)[0]) + 1
         raise WeightError(f"staircase delta_{k} underflows to 0: level k={k} "
@@ -314,18 +311,12 @@ def box_decompact_weight(phi: Symbol, grid: BoundaryGrid):
     mu = pullback(trace, 1.0)
     cap = int(np.log2(grid.size)) - 2
     key = dyadic_boxes(mu, cap)
-    keys, masses = _box_masses(key, mu.masses)
-    # key + 1 = 2^k + j for box j of corona k
-    edges = np.searchsorted(np.frexp(keys + 1.0)[1] - 1, np.arange(cap + 2))
-    ks, heaviest = [], []
-    for k in range(1, cap + 1):
-        lo, hi = edges[k], edges[k + 1]
-        if lo < hi:  # the first heaviest box of corona k
-            ks.append(k)
-            heaviest.append(lo + np.argmax(masses[lo:hi]))
-    if not ks:
+    keys, masses, edges = _box_masses(key, mu.masses, cap)
+    ks = np.flatnonzero(np.diff(edges)[1:]) + 1  # the coronas k >= 1 held
+    if not ks.size:
         raise WeightError("norm below one: no corona holds an atom")
-    ks = np.array(ks, dtype=np.int64)
+    # the first heaviest box of each
+    heaviest = [edges[k] + np.argmax(masses[edges[k]:edges[k + 1]]) for k in ks]
     chosen, box_masses = keys[heaviest], masses[heaviest]
     box_index = chosen - (1 << ks) + 1
     # each atom lies in at most one chosen box

@@ -4,10 +4,11 @@ for the buffers ``hardylab.operators`` saves.
 Each window query tests every atom against a window and sums the atoms
 inside with ``math.fsum``, so its only rounding is the final one;
 :func:`full_sweep` instead rounds as the library does, to pin which window
-the pruned sweep picks, and :func:`box_masses` places an atom in its box as
-the library rounds it.  The operator references keep the plain forms the
-library replaced: one N-point complex FFT per trace (:func:`fft_head`),
-N-length arrays for every factor of a moment integrand
+the pruned sweep picks, :func:`box_masses` places an atom in its box as
+the library rounds it, and :func:`graded_cells` builds the graded arc cells
+octave by octave with ``np.linspace``.  The operator references keep the
+plain forms the library replaced: one N-point complex FFT per trace
+(:func:`fft_head`), N-length arrays for every factor of a moment integrand
 (:func:`moment_integral`) and a list of pivot rows for the kernel route
 (:func:`pivot_row_spectrum`).
 """
@@ -94,6 +95,28 @@ def box_masses(mu, n_max):
                 j = math.ceil(float(a) * (2.0**n / TWO_PI) - 0.5) % 2**n
                 groups.setdefault((n, j), []).append(m)
     return {box: math.fsum(m) for box, m in groups.items()}
+
+
+def graded_cells(singular_angles, octaves, per_octave):
+    """(angles, arc measures) of the graded cells, octave by octave: each
+    octave's edges by ``np.linspace``, its cells' midpoints as the angles
+    and its edge differences as the arc lengths, then one core atom per side
+    for the innermost interval."""
+    sing = sorted(a % TWO_PI for a in singular_angles)
+    gaps = np.diff(sing + [sing[0] + TWO_PI])
+    t0 = float(gaps.min()) / 2.0
+    angles, weights = [], []
+    for base in sing:
+        for sgn in (1.0, -1.0):
+            for k in range(octaves):
+                hi = t0 * 2.0**-k
+                edges = np.linspace(hi / 2.0, hi, per_octave + 1)
+                angles.append(base + sgn * 0.5 * (edges[1:] + edges[:-1]))
+                weights.append(np.diff(edges) / TWO_PI)
+            core = t0 * 2.0**-octaves
+            angles.append(np.array([base + sgn * core / 2.0]))
+            weights.append(np.array([core / TWO_PI]))
+    return np.concatenate(angles), np.concatenate(weights)
 
 
 def fft_head(values, rows):

@@ -20,12 +20,9 @@ SETTINGS = [
     "symbols.Symbol.boundary",
     "symbols.Symbol.log_modulus",
     "weights.parse_weight(strict)",
-    "carleson.graded_boundary(octaves)",
-    "carleson.graded_boundary(per_octave)",
     "carleson.pullback_graded(density_fn)",
     "carleson.pullback_graded(octaves)",
     "carleson.pullback_graded(per_octave)",
-    "operators.hs_norm_boundary(phi_co)",
     "operators.moment_integral(phi_co)",
 ]
 

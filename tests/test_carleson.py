@@ -27,7 +27,7 @@ from hardylab.carleson import (
 )
 
 from brute_force import (arc_profile, box_masses, dyadic_annulus_mass, full_sweep,
-                         window_mass)
+                         graded_cells, window_mass)
 
 
 def _uniform_circle_measure(n=2**10):
@@ -72,7 +72,7 @@ def test_pullback_density_mass_is_h2_norm():
 
     w = hs_weight(phi, g)
     mu = pullback(phi.trace(g), w.density())
-    assert abs(mu.total_mass - w.h2_norm_sq()) < 1e-14
+    assert abs(mu.total_mass - np.mean(w.density())) < 1e-14
 
 
 def test_pullback_rejects_negative_density():
@@ -120,6 +120,25 @@ def test_graded_boundary_mass_exact():
     assert abs(weights.sum() - 1.0) < 1e-14
     angles, weights = graded_boundary((0.0, np.pi), octaves=16, per_octave=6)
     assert abs(weights.sum() - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("singular_angles", [(0.0,), (0.0, np.pi)], ids=["one", "two"])
+@pytest.mark.parametrize("octaves", [0, 20])
+@pytest.mark.parametrize("per_octave", [1, 6, 8])
+def test_graded_boundary_matches_linspace_cells(singular_angles, octaves, per_octave):
+    # the closed form against the cells built octave by octave with linspace
+    angles, weights = graded_boundary(singular_angles, octaves, per_octave)
+    want_angles, want_weights = graded_cells(singular_angles, octaves, per_octave)
+    assert np.allclose(angles, want_angles, rtol=0.0, atol=1e-15)
+    assert np.allclose(weights, want_weights, rtol=1e-14, atol=0.0)
+    assert abs(weights.sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("singular_angles", [(0.0, 0.0), (0.0, TWO_PI), (1.0, 4.0, 1.0)])
+def test_graded_boundary_refuses_coincident_angles(singular_angles):
+    # no gap is left to grade: the cells used to carry total mass 0
+    with pytest.raises(ValueError, match="distinct singular angles"):
+        graded_boundary(singular_angles, 4, 2)
 
 
 @pytest.mark.parametrize("octaves, per_octave", [(-1, 24), (4, 0), (4, -2)])
@@ -633,9 +652,12 @@ def test_box_grouping_matches_brute_force(n_max, dense, data):
     key = dyadic_boxes(mu, n_max)
     assert (key.max() < np.count_nonzero(key >= 0)) == dense
     ref = {box: mass for box, mass in box_masses(mu, n_max).items() if mass > 0}
-    keys, masses = carleson._box_masses(key, mu.masses)
+    keys, masses, edges = carleson._box_masses(key, mu.masses, n_max)
     level, j = _corona_and_box(keys)
     assert dict(zip(zip(level.tolist(), j.tolist()), masses.tolist())) == ref
+    # the corona table: the boxes of corona n are keys[edges[n]:edges[n + 1]]
+    assert edges[0] == 0 and edges[-1] == keys.size
+    assert np.array_equal(np.repeat(np.arange(n_max + 1), np.diff(edges)), level)
     for p, rtol in ((2.0, 0.0), (0.7, 1e-14)):
         want = [math.fsum((2.0**n * mass) ** (p / 2.0)
                           for (k, _), mass in ref.items() if k == n)
@@ -709,9 +731,11 @@ def test_series_tail_exponent_is_the_reason():
     assert Series(k, finite).tail_exponent is None
     assert Series(k, finite).verdict == "converging"
     series = Series(k, 1.0 / k**2)
-    assert np.array_equal(series.partial_sums, np.cumsum(1.0 / k**2))
+    assert np.array_equal(np.cumsum(series.terms), np.cumsum(1.0 / k**2))
     with pytest.raises(ValueError):
         Series(k, -1.0 / k)
+    with pytest.raises(ValueError, match="NaN"):
+        Series(k, np.where(k == 3, np.nan, 1.0 / k**2))
 
 
 # ---------------------------------------------------------------- annuli

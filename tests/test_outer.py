@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from hardylab import outer as outer_module
-from hardylab.grid import coefficients_from_fft, make_grid, quadrature, refined_mean
+from hardylab.grid import coefficients_from_fft, make_grid, refined_mean
 from hardylab.outer import (
     NotLogIntegrableError,
     OuterFunction,
@@ -50,7 +50,7 @@ def test_outer_value_at_zero_is_geometric_mean():
     g = make_grid(1024)
     u = 0.5 + 0.3 * np.cos(g.angles) ** 2
     w = outer_from_modulus(g.samples(u))
-    expected = np.exp(quadrature(g.samples(np.log(u))).real)
+    expected = np.exp(np.mean(np.log(u)))
     assert abs(w(0.0) - expected) < 1e-12
 
 

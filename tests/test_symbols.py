@@ -337,6 +337,17 @@ def test_custom_outer_matches_table():
 def test_custom_outer_validation():
     with pytest.raises(ValueError):
         custom_outer([0.0, 1.0], [0.5, 1.5])
+    # a NaN modulus or a NaN or infinite angle, which used to pass
+    for angles, modulus in (([0.0, 1.0], [0.5, np.nan]), ([0.0, np.nan], [0.5, 0.5]),
+                            ([0.0, np.inf], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="NaN"):
+            custom_outer(angles, modulus)
+
+
+@pytest.mark.parametrize("c", [np.nan, complex(0.0, np.nan)])
+def test_constant_refuses_nan(c):
+    with pytest.raises(ValueError, match="NaN"):
+        constant(c)
 
 
 # ---------------------------------------------------------------- levels
