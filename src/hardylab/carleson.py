@@ -127,33 +127,29 @@ def pullback(phi_trace: BoundarySamples, density) -> PullbackMeasure:
     """Push the boundary measure density*dm forward through the trace.
 
     Atoms sit at the trace values with masses density/N, so the total mass
-    equals the quadrature of the density.  The measure's locations are a
-    read-only view of ``phi_trace.values`` (a copy only when an atom is
-    snapped onto the circle, see :class:`PullbackMeasure`); do not write to
-    the trace afterwards.  The density must be nonnegative with a finite
-    quadrature.
+    equals the quadrature of the density, a constant or one value per
+    sample.  The measure's locations are a read-only view of
+    ``phi_trace.values`` (a copy only when an atom is snapped onto the
+    circle, see :class:`PullbackMeasure`, which also checks the masses); do
+    not write to the trace afterwards.
     """
     n = phi_trace.grid.size
-    dv = np.asarray(density, dtype=float)
-    if dv.shape not in ((), (n,)):
-        raise ValueError("density must match the trace grid")
-    if not (np.all(dv >= 0) and np.isfinite(dv.sum())):
-        raise ValueError("density must be nonnegative and finite, not NaN")
     # a constant density is divided once, not sample by sample
-    masses = np.full(n, dv / n) if dv.ndim == 0 else dv / n
+    masses = np.broadcast_to(np.asarray(density, dtype=float) / n, (n,))
     return PullbackMeasure(phi_trace.values, masses)
 
 
 def graded_boundary(singular_angles, octaves: int, per_octave: int):
     """Dyadically graded discretization of the arc measure of the circle.
 
-    t0 is half the smallest gap between the singular angles (mod 2 pi).  On
-    either side of each, the octave (t0 2^-(k+1), t0 2^-k], k < K = ``octaves``,
-    holds P = ``per_octave`` cells: cell j at offset t0 2^-k (P + j + 1/2)/(2P),
+    The + side of each singular angle reaches t0, half the gap to the next
+    one (mod 2 pi), and its - side half the gap to the one before.  On each
+    side the octave (t0 2^-(k+1), t0 2^-k], k < K = ``octaves``, holds
+    P = ``per_octave`` cells: cell j at offset t0 2^-k (P + j + 1/2)/(2P),
     of arc measure t0 2^-k/(2P) / (2 pi).  One core atom per side, at offset
-    t0 2^-K / 2, absorbs (0, t0 2^-K].  Atoms run by sorted angle, side (+, -),
-    octave and cell.  The weights sum to 1 when the singular angles are
-    equally spaced; coincident ones (t0 = 0) are refused.
+    t0 2^-K / 2, absorbs (0, t0 2^-K].  So the sides tile the circle and the
+    weights sum to 1.  Atoms run by sorted angle, side (+, -), octave and
+    cell.  Coincident singular angles (a gap of 0) are refused.
     """
     if octaves < 0 or per_octave < 1:
         raise ValueError("graded sampling needs octaves >= 0 and "
@@ -161,17 +157,20 @@ def graded_boundary(singular_angles, octaves: int, per_octave: int):
     sing = np.sort(np.asarray(singular_angles, dtype=float) % TWO_PI)
     if not sing.size:
         raise ValueError("graded sampling needs at least one singular angle")
-    t0 = float(np.diff(sing, append=sing[0] + TWO_PI).min()) / 2.0
-    if not t0 > 0.0:
+    gap = np.diff(sing, append=sing[0] + TWO_PI)
+    if not np.all(gap > 0.0):
         raise ValueError("graded sampling needs distinct singular angles "
                          "(mod 2 pi)")
     p = per_octave
-    outer = t0 * 2.0 ** -np.arange(octaves + 1)  # t0 2^-k; k = K is the core
-    offset = np.append(np.outer(outer[:-1], (p + 0.5 + np.arange(p)) / (2 * p)),
-                       outer[-1] / 2.0)
-    width = np.append(np.repeat(outer[:-1] / (2 * p), p), outer[-1])
+    t0 = np.stack((gap, np.roll(gap, 1)), axis=1) / 2.0  # (+, -) per angle
+    outer = t0[..., None] * 2.0 ** -np.arange(octaves + 1)  # k = K is the core
+    offset = np.concatenate(
+        ((outer[..., :-1, None] * ((p + 0.5 + np.arange(p)) / (2 * p)))
+         .reshape(*t0.shape, -1), outer[..., -1:] / 2.0), axis=-1)
+    width = np.concatenate((np.repeat(outer[..., :-1] / (2 * p), p, axis=-1),
+                            outer[..., -1:]), axis=-1)
     angles = sing[:, None, None] + np.array([1.0, -1.0])[:, None] * offset
-    return angles.ravel(), np.tile(width / TWO_PI, 2 * sing.size)
+    return angles.ravel(), width.ravel() / TWO_PI
 
 
 def pullback_graded(
@@ -189,17 +188,16 @@ def pullback_graded(
     Requires a closed-form trace; ``density_fn`` maps signed angles to a
     nonnegative boundary density (default 1).
     """
+    if phi.boundary is None:
+        raise NotImplementedError(
+            f"symbol {phi.label!r} has no closed-form trace off the grid")
     angles, weights = graded_boundary(phi.singular_angles, octaves, per_octave)
     # singular angles in [0, 2 pi) and offsets below pi put the cells in
     # (-pi, 3 pi); 2 pi comes off where an angle passes pi, exactly (Sterbenz)
     signed = np.where(angles > np.pi, angles - TWO_PI, angles)
-    locations = phi.trace_of_angle(signed)
     if density_fn is not None:
-        dens = np.asarray(density_fn(signed), dtype=float)
-        if not (np.all(dens >= 0) and np.isfinite(dens.sum())):
-            raise ValueError("density must be nonnegative and finite, not NaN")
-        weights = weights * dens
-    return PullbackMeasure(locations, weights)
+        weights = weights * np.asarray(density_fn(signed), dtype=float)
+    return PullbackMeasure(phi.boundary(signed), weights)
 
 
 def dyadic_boxes(mu: PullbackMeasure, n_max: int) -> np.ndarray:

@@ -244,16 +244,19 @@ def embedding_spectrum(mu: PullbackMeasure) -> SingularSpectrum:
     a relative ~eps cond(B)^2 (Demmel-Veselic, scaled positive definite
     matrices); an SVD of F agrees to ~1e-12 relative.
 
-    Atoms on the unit circle are excluded (the embedding is unbounded
-    against boundary mass); their total mass is expected to be zero for the
-    measures this is used on.  Interior atoms with 1 - |z|^2 below
-    eps/KERNEL_RELATIVE_FLOOR are refused: there the rounding of |z| alone
-    moves the kernel diagonal by more than the route's floor.
+    Each atom's 1 - |z|^2 is read as d (2 - d) from its depth d
+    (:attr:`hardylab.carleson.PullbackMeasure.depth`), not from |z|.
+    Atoms on the unit circle (d = 0) are excluded (the embedding is
+    unbounded against boundary mass); their total mass is expected to be
+    zero for the measures this is used on.  Interior atoms with
+    1 - |z|^2 below eps/KERNEL_RELATIVE_FLOOR are refused: there the
+    rounding of |z| alone moves the kernel diagonal by more than the
+    route's floor.
     """
     interior = mu.depth > 0.0
     z = mu.locations[interior]
-    r = np.abs(z)
-    co = (1.0 - r) * (1.0 + r)
+    depth = mu.depth[interior]
+    co = depth * (2.0 - depth)  # 1 - |z|^2
     limit = np.finfo(float).eps / KERNEL_RELATIVE_FLOOR
     lost = co < limit
     if np.any(lost):
@@ -372,10 +375,6 @@ class ColumnNorms:
 
     p: float
     norms: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.norms.sum())
 
 
 def column_pnorms(wtrace: BoundarySamples, phitrace: BoundarySamples,

@@ -1,17 +1,16 @@
 """Catalog of analytic self-maps of the disk and their boundary behavior.
 
-Every symbol carries a closed-form boundary modulus and, crucially, a
-closed-form *co-modulus* 1 - |phi*| evaluated without cancellation: the
-catalog's interesting symbols approach the unit circle so fast that
+A symbol is its *co-modulus* 1 - |phi*|, evaluated without cancellation:
+the catalog's interesting symbols approach the unit circle so fast that
 ``1 - modulus`` in floating point would lose all digits exactly where the
 diagnostics look.
 
-A closed-form symbol also carries its boundary trace as a function of the
-real angle t, which is the one way its trace is read.
-On the circle (1 - e^{it})/(1 + e^{it}) = -i tan(t/2), so the lens trace
-and co-modulus follow from T = |tan(t/2)|^theta with no complex exponential
-or complex power, and the other closed forms are written as modulus and
-argument in t.
+A closed-form symbol also carries its interior values and its boundary
+trace as a function of the real angle t.  On the circle
+(1 - e^{it})/(1 + e^{it}) = -i tan(t/2), so the lens trace and co-modulus
+follow from T = |tan(t/2)|^theta with no complex exponential or complex
+power, and the other closed forms are written as modulus and argument in t.
+Any other symbol is the outer function of log|phi*| = log1p(-co).
 """
 
 from __future__ import annotations
@@ -64,18 +63,17 @@ def _reference_size(r: float) -> int:
 
 @dataclass(frozen=True)
 class Symbol:
-    """Analytic self-map of the disk with closed-form boundary data.
+    """Analytic self-map of the disk, given by its co-modulus.
 
     ``co(t)`` is the co-modulus 1 - |phi*(e^{it})| at signed angles,
-    computed cancellation-free; the modulus is 1 - co.  The map is given
-    either by two closed forms, ``analytic`` at interior points and
-    ``boundary(t)``, the trace phi*(e^{it}) at any real angle, or by
-    ``log_modulus(t)``, whose outer function
-    (:class:`hardylab.outer.OuterFunction`) gives the trace on a grid and
-    the interior values on a reference grid chosen from the radius.
-    The interior evaluator of each reference size is built on first use and
-    kept: its N/2 Taylor coefficients, or its refusal when the log-modulus
-    is not integrable.
+    computed cancellation-free; the modulus is 1 - co.  A closed-form
+    symbol adds ``analytic`` at interior points and ``boundary(t)``, the
+    trace phi*(e^{it}) at any real angle.  Without them the symbol is the
+    outer function (:class:`hardylab.outer.OuterFunction`) of log1p(-co),
+    which gives the trace on a grid and the interior values on a reference
+    grid chosen from the radius.  The interior evaluator of each reference
+    size is built on first use and kept: its N/2 Taylor coefficients, or
+    its refusal when the log-modulus is not integrable.
     """
 
     kind: str
@@ -85,39 +83,26 @@ class Symbol:
     co: Callable
     analytic: Optional[Callable] = None
     boundary: Optional[Callable] = None
-    log_modulus: Optional[Callable] = None
 
     def __post_init__(self):
         if (self.analytic is None) != (self.boundary is None):
             raise ValueError("a closed-form Symbol needs both analytic and "
                              "boundary")
-        if (self.analytic is None) == (self.log_modulus is None):
-            raise ValueError("a Symbol needs exactly one of analytic and "
-                             "log_modulus")
         # interior evaluators of an outer-type symbol, by reference size
         object.__setattr__(self, "_interior", {})
 
-    def co_modulus_of_angle(self, t):
-        """1 - |phi*(e^{it})|, computed cancellation-free."""
-        return self.co(np.asarray(t, dtype=float))
-
     def co_modulus(self, grid: BoundaryGrid) -> BoundarySamples:
         """Samples of 1 - |phi*| at the grid angles, cancellation-free."""
-        return grid.samples(self.co_modulus_of_angle(grid.signed_angles()))
+        return grid.samples(self.co(grid.signed_angles()))
+
+    def _outer(self, grid: BoundaryGrid) -> OuterFunction:
+        with np.errstate(divide="ignore"):  # co = 1 is log|phi*| = -inf
+            return OuterFunction(grid, np.log1p(-self.co(grid.signed_angles())))
 
     def trace(self, grid: BoundaryGrid) -> BoundarySamples:
-        t = grid.signed_angles()
         if self.boundary is None:
-            return OuterFunction(grid, self.log_modulus(t)).boundary()
-        return grid.samples(self.boundary(t))
-
-    def trace_of_angle(self, t):
-        """Boundary trace at arbitrary angles; closed-form symbols only."""
-        if self.boundary is None:
-            raise NotImplementedError(
-                f"symbol {self.label!r} has no closed-form trace off the grid"
-            )
-        return self.boundary(np.asarray(t, dtype=float))
+            return self._outer(grid).boundary()
+        return grid.samples(self.boundary(grid.signed_angles()))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -125,9 +110,7 @@ class Symbol:
             return self.analytic(z)
         n = _reference_size(float(np.max(np.abs(z), initial=0.0)))
         if n not in self._interior:
-            grid = make_grid(n)
-            outer = OuterFunction(grid, self.log_modulus(grid.signed_angles()))
-            self._interior[n] = outer.interior()
+            self._interior[n] = self._outer(make_grid(n)).interior()
         return self._interior[n](z)
 
     def __repr__(self):
@@ -244,14 +227,11 @@ def beta_exp(beta: float) -> Symbol:
     exp(-U) maps the disk into itself.  For beta = 2, u = (1 - cos t)/2 and
     U(z) = (1 - z)/2, so the symbol is the closed form exp((z - 1)/2), whose
     trace is exp((cos t - 1)/2) e^{i sin(t)/2}; otherwise it is the outer
-    function of -u, whose values carry the aliasing of the cusp's slowly
-    decaying spectrum on the grid used.
+    function of log1p(-co) = -u, whose values carry the aliasing of the
+    cusp's slowly decaying spectrum on the grid used.
     """
     if not 0.0 < beta <= 2.0:
         raise ValueError(f"beta must be in (0, 2], got {beta}")
-
-    def u_fn(t):
-        return np.abs(np.sin(t / 2.0)) ** beta
 
     def boundary_fn(t):
         return _polar(0.5 * np.sin(t), np.exp(0.5 * (np.cos(t) - 1.0)))
@@ -262,10 +242,9 @@ def beta_exp(beta: float) -> Symbol:
         label=f"betaexp:{beta:g}",
         params=(beta,),
         singular_angles=(0.0,),
-        co=lambda t: -np.expm1(-u_fn(t)),
+        co=lambda t: -np.expm1(-np.abs(np.sin(t / 2.0)) ** beta),
         analytic=(lambda z: np.exp((z - 1.0) / 2.0)) if closed else None,
         boundary=boundary_fn if closed else None,
-        log_modulus=None if closed else (lambda t: -u_fn(t)),
     )
 
 
@@ -287,7 +266,6 @@ def extreme_not_exposed() -> Symbol:
         params=(),
         singular_angles=(0.0,),
         co=co_fn,
-        log_modulus=lambda t: np.log1p(-co_fn(t)),
     )
 
 
@@ -310,7 +288,6 @@ def hs_extremal() -> Symbol:
         params=(),
         singular_angles=(0.0,),
         co=co_fn,
-        log_modulus=lambda t: np.log1p(-co_fn(t)),
     )
 
 
@@ -342,7 +319,6 @@ def custom_outer(angles, modulus) -> Symbol:
         params=(),
         singular_angles=(),
         co=lambda t: 1.0 - modulus_fn(t),
-        log_modulus=lambda t: np.log(modulus_fn(t)),
     )
 
 

@@ -1,5 +1,5 @@
-"""Weight constructions: every recipe produces |w*| on the grid and the
-outer function of its log-modulus.
+"""Weight constructions: every recipe produces the log-modulus log|w*| on
+the grid, and the weight is its outer function, with |w*| = exp(log|w*|).
 
 Recipes read a catalog :class:`hardylab.symbols.Symbol` on a grid (a table
 enters as :func:`hardylab.symbols.custom_outer`).  Compactify and staircase
@@ -59,7 +59,7 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class Weight:
-    """Boundary data of a weight: exact modulus target, boundary trace and
+    """Boundary data of a weight: modulus exp(log|w*|), boundary trace and
     the outer function of the log-modulus.
 
     The trace is the outer function's boundary trace (the modulus with flat
@@ -70,10 +70,6 @@ class Weight:
     modulus: BoundarySamples
     trace: BoundarySamples
     outer: OuterFunction
-
-    @property
-    def grid(self) -> BoundaryGrid:
-        return self.modulus.grid
 
     @property
     def log_divergent(self) -> bool:
@@ -92,15 +88,10 @@ class Weight:
         return m ** 2
 
 
-def _finish(name: str, grid: BoundaryGrid, modulus: np.ndarray,
-            log_modulus: np.ndarray) -> Weight:
+def _finish(name: str, grid: BoundaryGrid, log_modulus: np.ndarray) -> Weight:
     outer = OuterFunction(grid, log_modulus)
-    return Weight(
-        name=name,
-        modulus=grid.samples(modulus),
-        trace=outer.boundary(),
-        outer=outer,
-    )
+    return Weight(name=name, modulus=outer.boundary_modulus(),
+                  trace=outer.boundary(), outer=outer)
 
 
 def unit_weight(grid: BoundaryGrid) -> Weight:
@@ -154,12 +145,11 @@ def power_weight(phi: Symbol, grid: BoundaryGrid, exponent) -> Weight:
 
 
 def _co_power(name: str, co: BoundarySamples, expo) -> Weight:
-    """Weight with |w*| = co^expo, co the samples of 1 - |phi*|."""
+    """Weight with log|w*| = expo log co, co the samples of 1 - |phi*|."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        modulus = co.values**expo
         log_modulus = expo * np.log(co.values)
     log_modulus = np.where(np.isnan(log_modulus), -np.inf, log_modulus)
-    return _finish(name, co.grid, modulus, log_modulus)
+    return _finish(name, co.grid, log_modulus)
 
 
 @dataclass(frozen=True)
@@ -172,8 +162,7 @@ class CompactifySchedule:
 
 def _step_weight(name: str, levels: LevelSets, log_steps: np.ndarray) -> Weight:
     """Weight with log|w*| = log_steps[0] + ... + log_steps[k] on level k."""
-    log_modulus = np.cumsum(log_steps)[levels.level_index]
-    return _finish(name, levels.grid, np.exp(log_modulus), log_modulus)
+    return _finish(name, levels.grid, np.cumsum(log_steps)[levels.level_index])
 
 
 def compactify_weight(levels: LevelSets):
@@ -181,28 +170,22 @@ def compactify_weight(levels: LevelSets):
 
     The schedule k_n = min{k : c_k <= 2^-n}, for n = 1..COMPACTIFY_TERMS
     while such a level exists, forces sum c_{k_n} log n <= sum 2^-n log n,
-    so the reported series is summable by construction.
+    so the reported series is summable by construction.  The masses c_k
+    are nonincreasing, so one search finds every k_n.
     Returns (weight, schedule).
     """
     c = levels.masses
-    ks, terms = [], []
+    # -c[1:] is sorted: k_n - 1 is its first index at or above -2^-n
+    ks = np.searchsorted(-c[1:], -(2.0 ** -np.arange(1, COMPACTIFY_TERMS + 1))) + 1
+    ks = ks[ks <= levels.k_max]
+    if not ks.size:
+        raise WeightError("not compactifiable at this resolution: no level set "
+                          "with mass <= 1/2")
+    n = np.arange(1, ks.size + 1)
+    log_n = np.log(n)
     # log|w*| per sample: sum of -log n over schedule entries with k_n <= level
-    log_steps = np.zeros(levels.k_max + 1)
-    for n in range(1, COMPACTIFY_TERMS + 1):
-        ok = np.flatnonzero(c[1:] <= 2.0**-n) + 1
-        if len(ok) == 0:
-            if n == 1:
-                raise WeightError(
-                    "not compactifiable at this resolution: no level set "
-                    "with mass <= 1/2"
-                )
-            break
-        k_n = int(ok[0])
-        ks.append(k_n)
-        terms.append(float(c[k_n]) * np.log(n))
-        log_steps[k_n] -= np.log(n)
-    schedule = CompactifySchedule(np.array(ks, dtype=np.int64),
-                                  Series(np.arange(1, len(ks) + 1), terms))
+    log_steps = np.bincount(ks, weights=-log_n, minlength=levels.k_max + 1)
+    schedule = CompactifySchedule(ks, Series(n, c[ks] * log_n))
     return _step_weight("compactify", levels, log_steps), schedule
 
 
@@ -276,9 +259,7 @@ class BoxSelection:
 
     ks: np.ndarray
     box_index: np.ndarray
-    centers: np.ndarray
     box_masses: np.ndarray
-    u: np.ndarray
 
     @property
     def added_mass(self) -> float:
@@ -303,7 +284,7 @@ def box_decompact_weight(phi: Symbol, grid: BoundaryGrid):
         probes = np.concatenate([a + ladder for a in phi.singular_angles])
     else:
         probes = np.linspace(-np.pi, np.pi, 4097)[1:]
-    co_min = float(np.min(phi.co_modulus_of_angle(probes)))
+    co_min = float(np.min(phi.co(probes)))
     if co_min > NORM_ONE_CO_THRESHOLD:
         raise WeightError("norm below one: symbol does not reach the boundary")
 
@@ -322,15 +303,10 @@ def box_decompact_weight(phi: Symbol, grid: BoundaryGrid):
     # each atom lies in at most one chosen box
     pos = np.minimum(np.searchsorted(chosen, key), ks.size - 1)
     member = chosen[pos] == key
-    u = np.ones(grid.size)
+    u = np.ones(grid.size)  # |w*|^2
     u[member] += (2.0**-ks / box_masses)[pos[member]]
-
-    log_modulus = 0.5 * np.log(u)
-    weight = _finish("boxdecomp", grid, np.sqrt(u), log_modulus)
-    boxes = BoxSelection(ks=ks, box_index=box_index,
-                         centers=np.exp(2j * np.pi * box_index / (1 << ks)),
-                         box_masses=box_masses, u=u)
-    return weight, boxes
+    boxes = BoxSelection(ks=ks, box_index=box_index, box_masses=box_masses)
+    return _finish("boxdecomp", grid, 0.5 * np.log(u)), boxes
 
 
 def parse_weight(spec: str, phi: Symbol, grid: BoundaryGrid,

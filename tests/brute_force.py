@@ -10,7 +10,12 @@ octave by octave with ``np.linspace``.  The operator references keep the
 plain forms the library replaced: one N-point complex FFT per trace
 (:func:`fft_head`), N-length arrays for every factor of a moment integrand
 (:func:`moment_integral`) and a list of pivot rows for the kernel route
-(:func:`pivot_row_spectrum`).
+(:func:`pivot_row_spectrum`), whose diagonal is read from |z|
+(:func:`kernel_diagonal`).  The symbol and weight references keep the
+closed forms the library now reads from one datum: outer log-moduli in
+the angle (:func:`beta_exp_log_modulus`, :func:`table_log_modulus`), the
+power weights as one power of the co-modulus (:func:`co_power`) and the
+compactify schedule found level by level (:func:`compactify_schedule`).
 """
 
 import math
@@ -101,13 +106,14 @@ def graded_cells(singular_angles, octaves, per_octave):
     """(angles, arc measures) of the graded cells, octave by octave: each
     octave's edges by ``np.linspace``, its cells' midpoints as the angles
     and its edge differences as the arc lengths, then one core atom per side
-    for the innermost interval."""
+    for the innermost interval.  The + side of each angle reaches half the
+    gap after it, the - side half the gap before it."""
     sing = sorted(a % TWO_PI for a in singular_angles)
     gaps = np.diff(sing + [sing[0] + TWO_PI])
-    t0 = float(gaps.min()) / 2.0
     angles, weights = [], []
-    for base in sing:
-        for sgn in (1.0, -1.0):
+    for i, base in enumerate(sing):
+        for sgn, gap in ((1.0, gaps[i]), (-1.0, gaps[i - 1])):
+            t0 = float(gap) / 2.0
             for k in range(octaves):
                 hi = t0 * 2.0**-k
                 edges = np.linspace(hi / 2.0, hi, per_octave + 1)
@@ -117,6 +123,48 @@ def graded_cells(singular_angles, octaves, per_octave):
             angles.append(np.array([base + sgn * core / 2.0]))
             weights.append(np.array([core / TWO_PI]))
     return np.concatenate(angles), np.concatenate(weights)
+
+
+def beta_exp_log_modulus(beta, t):
+    """log|phi*| = -|sin(t/2)|^beta of ``beta_exp(beta)``, in closed form."""
+    return -np.abs(np.sin(np.asarray(t) / 2.0)) ** beta
+
+
+def table_log_modulus(angles, modulus, t):
+    """log m of the periodic linear interpolation m of an (angle, modulus)
+    table, read at the angles t."""
+    return np.log(np.interp(np.asarray(t) % TWO_PI, np.asarray(angles) % TWO_PI,
+                            modulus, period=TWO_PI))
+
+
+def co_power(co, expo):
+    """|w*| = co^expo, the power weights' modulus as one power."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.asarray(co) ** expo
+
+
+def kernel_diagonal(mu):
+    """1 - |z|^2 of the interior atoms, as (1 - |z|)(1 + |z|) from |z|."""
+    r = np.abs(mu.locations[mu.depth > 0.0])
+    return (1.0 - r) * (1.0 + r)
+
+
+def compactify_schedule(masses, terms=64):
+    """(ks, series terms, log steps) of the compactifying weight, one level
+    at a time: k_n is the first k >= 1 with c_k <= 2^-n, for n = 1, 2, ...
+    while one exists; None when there is none for n = 1."""
+    ks, series, log_steps = [], [], np.zeros(len(masses))
+    for n in range(1, terms + 1):
+        ok = np.flatnonzero(masses[1:] <= 2.0**-n) + 1
+        if len(ok) == 0:
+            break
+        k_n = int(ok[0])
+        ks.append(k_n)
+        series.append(float(masses[k_n]) * np.log(n))
+        log_steps[k_n] -= np.log(n)
+    if not ks:
+        return None
+    return np.array(ks, dtype=np.int64), np.array(series), log_steps
 
 
 def fft_head(values, rows):
@@ -151,8 +199,7 @@ def pivot_row_spectrum(mu):
     in a list and stacked by ``np.array``, the interior atoms as given."""
     interior = mu.depth > 0.0
     z = mu.locations[interior]
-    r = np.abs(z)
-    co = (1.0 - r) * (1.0 + r)
+    co = kernel_diagonal(mu)
     g = np.sqrt(mu.masses[interior]).astype(complex)
     d = mu.masses[interior] / co
     top = float(d.max()) if d.size else 0.0

@@ -18,7 +18,6 @@ MODULES = (grid, outer, symbols, weights, carleson, operators)
 SETTINGS = [
     "symbols.Symbol.analytic",
     "symbols.Symbol.boundary",
-    "symbols.Symbol.log_modulus",
     "weights.parse_weight(strict)",
     "carleson.pullback_graded(density_fn)",
     "carleson.pullback_graded(octaves)",

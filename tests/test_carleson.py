@@ -98,21 +98,28 @@ def test_measure_refuses_nan_atoms(locations, masses, match):
 
 def test_pullback_refuses_nan_density():
     g = make_grid(64)
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -1.0):
         density = np.ones(64)
         density[5] = bad
-        with pytest.raises(ValueError, match="density"):
+        with pytest.raises(ValueError, match="masses"):
             pullback(g.samples(0.5 * g.points), density)
+    with pytest.raises(ValueError):  # one sample short of the grid
+        pullback(g.samples(0.5 * g.points), np.ones(63))
 
 
 def test_pullback_graded_refuses_nan_density():
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, -1.0):
         def density(t):
             return np.where(np.arange(t.size) == 3, bad, 1.0)
 
-        with pytest.raises(ValueError, match="density"):
+        with pytest.raises(ValueError, match="masses"):
             pullback_graded(lens(0.5), density_fn=density, octaves=8,
                             per_octave=4)
+
+
+def test_pullback_graded_refuses_an_outer_type_symbol():
+    with pytest.raises(NotImplementedError, match="no closed-form trace"):
+        pullback_graded(beta_exp(0.5), octaves=4, per_octave=2)
 
 
 def test_graded_boundary_mass_exact():
@@ -122,7 +129,9 @@ def test_graded_boundary_mass_exact():
     assert abs(weights.sum() - 1.0) < 1e-14
 
 
-@pytest.mark.parametrize("singular_angles", [(0.0,), (0.0, np.pi)], ids=["one", "two"])
+@pytest.mark.parametrize("singular_angles", [(0.0,), (0.0, np.pi), (2.0, 5.0),
+                                             (4.0, 0.0, 1.0)],
+                         ids=["one", "two", "unequal", "three"])
 @pytest.mark.parametrize("octaves", [0, 20])
 @pytest.mark.parametrize("per_octave", [1, 6, 8])
 def test_graded_boundary_matches_linspace_cells(singular_angles, octaves, per_octave):
@@ -132,6 +141,31 @@ def test_graded_boundary_matches_linspace_cells(singular_angles, octaves, per_oc
     assert np.allclose(angles, want_angles, rtol=0.0, atol=1e-15)
     assert np.allclose(weights, want_weights, rtol=1e-14, atol=0.0)
     assert abs(weights.sum() - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("singular_angles", [(2.0, 5.0), (4.0, 0.0, 1.0), (0.0, 0.1, 0.3, 3.0)])
+def test_graded_boundary_tiles_each_side_to_half_its_gap(singular_angles):
+    # the + side of each angle reaches half the gap after it, the - side
+    # half the gap before it: the cells of each side tile (0, gap/2], so
+    # the weights sum to 1 however unequal the gaps
+    octaves, per_octave = 32, 8
+    angles, weights = graded_boundary(singular_angles, octaves, per_octave)
+    assert abs(weights.sum() - 1.0) <= 1e-14
+    sing = np.sort(np.asarray(singular_angles) % TWO_PI)
+    gaps = np.diff(sing, append=sing[0] + TWO_PI)
+    side = octaves * per_octave + 1
+    offsets = angles.reshape(sing.size, 2, side) - sing[:, None, None]
+    widths = TWO_PI * weights.reshape(sing.size, 2, side)
+    for i in range(sing.size):
+        for j, (sgn, gap) in enumerate(((1.0, gaps[i]), (-1.0, gaps[i - 1]))):
+            order = np.argsort(sgn * offsets[i, j])
+            mid, width = sgn * offsets[i, j][order], widths[i, j][order]
+            lo, hi = mid - width / 2.0, mid + width / 2.0
+            assert np.all(mid > 0.0)
+            assert abs(lo[0]) <= 2e-15 and abs(hi[-1] - gap / 2.0) <= 1e-14
+            # each cell's center is an angle, rounded to ulp(2 pi) = 8.9e-16
+            assert np.allclose(hi[:-1], lo[1:], rtol=0.0, atol=2e-15)
+            assert abs(math.fsum(width) - gap / 2.0) <= 1e-14
 
 
 @pytest.mark.parametrize("singular_angles", [(0.0, 0.0), (0.0, TWO_PI), (1.0, 4.0, 1.0)])
@@ -490,7 +524,7 @@ def _benchmark_measures():
                 g.samples(rot * phi.trace(g).values), w.density())
     for theta in (0.3, 0.5, 0.7):
         phi = parse_symbol(f"lens:{theta:g}")
-        for density_fn in (None, phi.co_modulus_of_angle):
+        for density_fn in (None, phi.co):
             yield f"lens:{theta:g}", pullback_graded(phi, density_fn, per_octave=8)
 
 
@@ -505,7 +539,7 @@ def test_profile_lens_decompact_not_vanishing():
     g = make_grid(2**12)
     w = lens_decompact_weight(0.5, g)
     lam = lens(0.5)
-    density_fn = lambda t: np.abs(1.0 - lam.trace_of_angle(t)) ** -1.0
+    density_fn = lambda t: np.abs(1.0 - lam.boundary(t)) ** -1.0
     nu = pullback_graded(lam, density_fn)
     rep = carleson_profile(nu, 4, 12)
     assert np.isfinite(rep.constant)
@@ -541,7 +575,7 @@ def test_luecking_convexity_per_level():
     # for p < 2: sum x^{p/2} >= (sum x)^{p/2} on every computed level
     g = make_grid(2**13)
     phi = hs_extremal()
-    nu = pullback(phi.trace(g), phi.co_modulus_of_angle(g.signed_angles()))
+    nu = pullback(phi.trace(g), phi.co(g.signed_angles()))
     for p in (0.5, 1.0, 1.5):
         rep = luecking_sum(nu, p, 11)
         for n in rep.series.indices:
@@ -672,11 +706,11 @@ def test_box_grouping_matches_brute_force(n_max, dense, data):
         return
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(weights, "pullback", lambda trace, density: mu)
-        boxes = box_decompact_weight(half(), make_grid(mu.size))[1]
+        w, boxes = box_decompact_weight(half(), make_grid(mu.size))
     assert boxes.ks.tolist() == sorted(heaviest)
     assert boxes.box_masses.tolist() == [heaviest[k][0] for k in boxes.ks]
     assert boxes.box_index.tolist() == [heaviest[k][1] for k in boxes.ks]
-    added = math.fsum(mu.masses * (boxes.u - 1.0))
+    added = math.fsum(mu.masses * (w.density() - 1.0))
     assert added == pytest.approx(boxes.added_mass, rel=1e-12)
 
 
@@ -788,7 +822,7 @@ def test_box_partition_exactness():
     g = make_grid(2**12)
     cases.append(pullback(half().trace(g), 1.0))
     phi = hs_extremal()
-    cases.append(pullback(phi.trace(g), phi.co_modulus_of_angle(
+    cases.append(pullback(phi.trace(g), phi.co(
         g.signed_angles())))
     cases.append(pullback_graded(lens(0.5)))
     for mu in cases:

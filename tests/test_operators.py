@@ -177,15 +177,32 @@ def test_embedding_spectrum_of_graded_cells_matches_linspace_cells(theta, densit
     # per_octave = 12 the locations too); the spectrum keeps its rank and
     # every value within 1e-12 relative
     phi = parse_symbol(f"lens:{theta:g}")
-    density_fn = None if density == "unit" else phi.co_modulus_of_angle
+    density_fn = None if density == "unit" else phi.co
     angles, weights = brute_force.graded_cells(phi.singular_angles, 32, per_octave)
     signed = np.where(angles > np.pi, angles - 2.0 * np.pi, angles)
     if density_fn is not None:
         weights = weights * density_fn(signed)
-    want = embedding_spectrum(PullbackMeasure(phi.trace_of_angle(signed), weights))
+    want = embedding_spectrum(PullbackMeasure(phi.boundary(signed), weights))
     got = embedding_spectrum(pullback_graded(phi, density_fn, per_octave=per_octave))
     assert got.values.shape == want.values.shape
     assert np.allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("theta, density, per_octave", GRADED_LENS)
+def test_kernel_diagonal_from_depth_matches_the_one_from_modulus(theta, density,
+                                                                 per_octave):
+    # 1 - |z|^2 read as d (2 - d) from the depth against (1 - |z|)(1 + |z|):
+    # the same rank, and every value within 1e-13 s_1
+    phi = parse_symbol(f"lens:{theta:g}")
+    mu = pullback_graded(phi, None if density == "unit" else phi.co,
+                         per_octave=per_octave)
+    d = mu.depth[mu.depth > 0.0]
+    assert np.allclose(d * (2.0 - d), brute_force.kernel_diagonal(mu),
+                       rtol=1e-15, atol=0.0)
+    s = embedding_spectrum(mu).values
+    ref = brute_force.pivot_row_spectrum(mu)
+    assert s.shape == ref.shape
+    assert np.max(np.abs(s - ref)) <= 1e-13 * s[0]
 
 
 def test_cut_just_below_quarter_guard():
@@ -552,7 +569,7 @@ def test_moment_integral_no_overflow_on_hsx():
     # subnormal at some samples
     g = make_grid(1 << 18)
     phi = parse_symbol("hsx")
-    co = phi.co_modulus_of_angle(g.signed_angles())
+    co = phi.co(g.signed_angles())
     assert np.min(co * (2 - co)) < np.finfo(float).tiny
     w = parse_weight("hs", phi, g, strict=False).trace
     m = moment_integral(w, phi.trace(g), 1.0, phi_co=co)
@@ -568,7 +585,7 @@ def test_moment_integral_near_drift_tolerance(wspec, divergent):
     # refinement, on either side of the 3% drift tolerance
     g = make_grid(1 << 18)
     phi = parse_symbol("lens:0.5")
-    co = phi.co_modulus_of_angle(g.signed_angles())
+    co = phi.co(g.signed_angles())
     w = parse_weight(wspec, phi, g).trace
     assert moment_integral(w, phi.trace(g), 1.0, phi_co=co).divergent == divergent
 

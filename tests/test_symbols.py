@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hardylab.grid import make_grid, log_integral
+from hardylab.outer import OuterFunction
 from hardylab.symbols import (
     REFERENCE_MAX,
     Symbol,
@@ -20,6 +21,8 @@ from hardylab.symbols import (
     level_sets,
     parse_symbol,
 )
+
+import brute_force
 
 
 def _lattice(radius=0.999, n_r=10, n_t=100):
@@ -44,7 +47,7 @@ def test_lens_boundary_exponent():
     # fit of log(1 - |lambda*|) against log |t| over t in [1e-4, 1e-1]
     lam = lens(0.5)
     t = np.logspace(-4, -1, 60)
-    slope = np.polyfit(np.log(t), np.log(lam.co_modulus_of_angle(t)), 1)[0]
+    slope = np.polyfit(np.log(t), np.log(lam.co(t)), 1)[0]
     assert abs(slope - 0.5) < 0.05
 
 
@@ -81,19 +84,19 @@ def test_boundary_closed_form_matches_the_complex_path(phi):
     # closed form in the angle is the interior closed form at e^{it}
     t = make_grid(2**12).signed_angles()
     direct = phi.analytic(np.exp(1j * t))
-    assert np.max(np.abs(phi.trace_of_angle(t) - direct)) <= 1e-14
-    assert np.array_equal(phi.trace(make_grid(2**12)).values, phi.trace_of_angle(t))
+    assert np.max(np.abs(phi.boundary(t) - direct)) <= 1e-14
+    assert np.array_equal(phi.trace(make_grid(2**12)).values, phi.boundary(t))
     # closer to pi, where (1 - e^{it})/(1 + e^{it}) loses its digits, the
     # modulus of the closed form is the cancellation-free 1 - co
     gap = 2.0 ** -np.arange(1, 53)
     near = np.concatenate([np.pi - gap, [np.pi], gap - np.pi])
-    modulus = 1.0 - phi.co_modulus_of_angle(near)
-    assert np.max(np.abs(np.abs(phi.trace_of_angle(near)) - modulus)) <= 1e-15
+    modulus = 1.0 - phi.co(near)
+    assert np.max(np.abs(np.abs(phi.boundary(near)) - modulus)) <= 1e-15
     # a scalar angle reads as a one-point array would, and angles repeat
     # mod 2 pi up to the rounding of t + 2 pi
-    assert phi.trace_of_angle(1.0) == phi.trace_of_angle(np.array([1.0]))[0]
-    turned = phi.trace_of_angle(t + 2.0 * np.pi)
-    assert np.max(np.abs(turned - phi.trace_of_angle(t))) <= 1e-12
+    assert phi.boundary(1.0) == phi.boundary(np.array([1.0]))[0]
+    turned = phi.boundary(t + 2.0 * np.pi)
+    assert np.max(np.abs(turned - phi.boundary(t))) <= 1e-12
 
 
 def test_closed_form_symbol_needs_both_forms():
@@ -128,7 +131,7 @@ def test_half_sup_approaches_one():
 
 def test_beta_exp_modulus_at_pi():
     for beta in (0.5, 1.0, 2.0):
-        assert abs(1.0 - beta_exp(beta).co_modulus_of_angle(np.pi)
+        assert abs(1.0 - beta_exp(beta).co(np.pi)
                    - np.exp(-1)) < 1e-14
 
 
@@ -145,7 +148,7 @@ def test_beta_two_matches_half_map_scale():
     # the beta=2 modulus at the rescaled angle t/sqrt(2) tracks |cos(t/2)|:
     # exp(-sin^2(t/(2 sqrt 2))) >= cos(t/2) - 1e-2 for |t| <= 1
     t = np.linspace(-1, 1, 201)
-    lhs = 1.0 - beta_exp(2.0).co_modulus_of_angle(t / np.sqrt(2))
+    lhs = 1.0 - beta_exp(2.0).co(t / np.sqrt(2))
     assert np.all(lhs >= np.cos(t / 2) - 1e-2)
 
 
@@ -229,12 +232,12 @@ def test_reference_size_stops_at_the_largest_grid():
         beta_exp(0.5)(np.array([0.99999]))
 
 
-def _counting(log_modulus):
+def _counting(co):
     calls = []
 
     def counted(t):
         calls.append(np.size(t))
-        return log_modulus(t)
+        return co(t)
 
     return counted, calls
 
@@ -242,10 +245,8 @@ def _counting(log_modulus):
 def test_outer_symbol_keeps_its_interior_per_reference_size():
     import dataclasses
 
-    from hardylab.outer import OuterFunction
-
-    counted, calls = _counting(beta_exp(0.5).log_modulus)
-    phi = dataclasses.replace(beta_exp(0.5), log_modulus=counted)
+    counted, calls = _counting(beta_exp(0.5).co)
+    phi = dataclasses.replace(beta_exp(0.5), co=counted)
     z = 0.9 * np.exp(1j * np.linspace(0, 6, 7))
     first = phi(z)
     assert len(calls) == 1
@@ -257,16 +258,15 @@ def test_outer_symbol_keeps_its_interior_per_reference_size():
     assert calls == [4096, 32768]
     # what is kept evaluates as a fresh outer function does
     g = make_grid(4096)
-    fresh = OuterFunction(g, beta_exp(0.5).log_modulus(g.signed_angles()))(z)
+    fresh = OuterFunction(g, np.log1p(-beta_exp(0.5).co(g.signed_angles())))(z)
     assert np.array_equal(first, fresh)
 
 
 def test_outer_symbol_keeps_its_refusal():
     from hardylab.outer import NotLogIntegrableError
 
-    counted, calls = _counting(lambda t: -1.0 / np.abs(t))
-    phi = Symbol("custom", "divergent", (), (0.0,),
-                 co=lambda t: -np.expm1(-1.0 / np.abs(t)), log_modulus=counted)
+    counted, calls = _counting(lambda t: -np.expm1(-1.0 / np.abs(t)))
+    phi = Symbol("custom", "divergent", (), (0.0,), co=counted)
     for _ in range(2):
         with pytest.raises(NotLogIntegrableError):
             phi(0.5)
@@ -277,7 +277,7 @@ def test_outer_symbol_keeps_its_refusal():
 
 def test_extreme_modulus_values():
     phi = extreme_not_exposed()
-    assert abs(phi.co_modulus_of_angle(np.pi) - np.exp(-1 / np.pi)) < 1e-14
+    assert abs(phi.co(np.pi) - np.exp(-1 / np.pi)) < 1e-14
     g = make_grid(2**14)
     res = log_integral(g.samples(1.0 - phi.co_modulus(g).values))
     assert not res.divergent  # |phi*| itself is log-integrable
@@ -286,7 +286,7 @@ def test_extreme_modulus_values():
 def test_extreme_co_modulus_not_log_integrable():
     phi = extreme_not_exposed()
     g = make_grid(2**14)
-    co = phi.co_modulus_of_angle(g.signed_angles())
+    co = phi.co(g.signed_angles())
     res = log_integral(g.samples(np.maximum(co, 1e-320)))
     assert res.divergent
 
@@ -296,7 +296,7 @@ def test_extreme_boundary_contact_fractions_vanish():
     # decrease with delta; read from the co-modulus, so 1e-24 is resolved
     phi = extreme_not_exposed()
     g = make_grid(2**14)
-    co = phi.co_modulus_of_angle(g.signed_angles())
+    co = phi.co(g.signed_angles())
     fr = np.array([np.mean(co < delta) for delta in (1e-6, 1e-12, 1e-24)])
     assert np.all(np.diff(fr) < 0)
     assert fr[1] < 0.02
@@ -318,7 +318,7 @@ def test_hs_extremal_co_modulus_not_log_integrable():
     phi = hs_extremal()
     for n in (2**10, 2**12, 2**14):
         g = make_grid(n)
-        co = phi.co_modulus_of_angle(g.signed_angles())
+        co = phi.co(g.signed_angles())
         res = log_integral(g.samples(np.maximum(co, 1e-320)))
         assert res.divergent
 
@@ -342,6 +342,37 @@ def test_custom_outer_validation():
                             ([0.0, np.inf], [0.5, 0.5])):
         with pytest.raises(ValueError, match="NaN"):
             custom_outer(angles, modulus)
+
+
+_TABLE = (np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False),
+          0.6 + 0.35 * np.cos(3.0 * np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)))
+_OUTER_TYPES = [
+    (beta_exp(0.5), lambda t: brute_force.beta_exp_log_modulus(0.5, t)),
+    (extreme_not_exposed(), lambda t: np.log1p(-np.exp(-1.0 / np.abs(t)))),
+    (hs_extremal(), lambda t: np.log1p(-np.exp(-np.exp(1.0 / np.abs(t))))),
+    (custom_outer(*_TABLE), lambda t: brute_force.table_log_modulus(*_TABLE, t)),
+]
+
+
+def _largest_relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("phi, log_modulus", _OUTER_TYPES,
+                         ids=[phi.label for phi, _ in _OUTER_TYPES])
+def test_outer_type_symbol_is_the_outer_function_of_its_co_modulus(phi, log_modulus):
+    # log1p(-co) against the log-modulus in closed form: the traces and the
+    # interior values agree within 1e-15 of their largest magnitude
+    with np.errstate(divide="ignore", over="ignore"):
+        for n in (2**12, 2**16):
+            g = make_grid(n)
+            want = OuterFunction(g, log_modulus(g.signed_angles())).boundary().values
+            assert _largest_relative(phi.trace(g).values, want) <= 1e-15
+        for r in (0.5, 0.9, 0.99, 0.999):
+            z = r * np.exp(1j * np.linspace(0.1, 6.2, 40))
+            g = make_grid(_reference_size(r))
+            want = OuterFunction(g, log_modulus(g.signed_angles()))(z)
+            assert _largest_relative(phi(z), want) <= 1e-15
 
 
 @pytest.mark.parametrize("c", [np.nan, complex(0.0, np.nan)])

@@ -31,7 +31,7 @@ from hardylab.weights import (
 )
 from hardylab.carleson import pullback
 
-from brute_force import window_mass
+from brute_force import co_power, compactify_schedule, window_mass
 
 
 GRID = make_grid(2**12)
@@ -77,13 +77,31 @@ def test_hs_weight_nonstrict_keeps_modulus():
     assert w.log_divergent
     with pytest.raises(NotLogIntegrableError):
         w.outer(0.5)
-    co = phi.co_modulus_of_angle(GRID.signed_angles())
+    co = phi.co(GRID.signed_angles())
     assert np.allclose(w.density(), co, rtol=1e-12)
     # the H2 norm of the modulus is perfectly finite
     assert 0.0 < np.mean(w.density()) < 1.0
 
 
 # ---------------------------------------------------------------- power
+
+_POWER_SYMBOLS = [lens(0.5), half(), beta_exp(0.5), extreme_not_exposed(), hs_extremal()]
+
+
+@pytest.mark.parametrize("phi", _POWER_SYMBOLS, ids=repr)
+def test_power_moduli_are_the_powers_of_the_co_modulus(phi):
+    # |w*| = exp(K log co) against co^K, pointwise within 1e-12 relative
+    # wherever co^K is a normal number
+    g = make_grid(2**14)
+    co = phi.co_modulus(g).values
+    gauge = default_gauge(1.0 - co)
+    for w, want in ((hs_weight(phi, g), co_power(co, 0.5)),
+                    (power_weight(phi, g, 2.0), co_power(co, 2.0)),
+                    (power_weight(phi, g, 0.7), co_power(co, 0.7)),
+                    (power_weight(phi, g, default_gauge), co_power(co, gauge))):
+        assert np.allclose(w.modulus.values, want, rtol=1e-12,
+                           atol=np.finfo(float).tiny), w.name
+
 
 def test_power_weight_zero_exponent_is_unit():
     w = power_weight(half(), GRID, 0.0)
@@ -94,7 +112,7 @@ def test_power_weight_k2_pointwise_bound():
     # n^2 max_j (1-u)^2 u^n <= sup_{x in (0,1)} n^2 (1-x)^2 x^n <= 4
     phi = hs_extremal()
     w = power_weight(phi, GRID, 2.0)
-    mod = 1.0 - phi.co_modulus_of_angle(GRID.signed_angles())
+    mod = 1.0 - phi.co(GRID.signed_angles())
     for n in (1, 8, 64, 512):
         assert n**2 * np.max(w.modulus.values * mod**n) <= 4.0 + 1e-9
 
@@ -152,6 +170,28 @@ def test_compactify_beta_two():
         if on_set.any():
             assert np.max(w.modulus.values[on_set]) <= 1.0 / n + 1e-12
     _outer_normalization(w)
+
+
+@pytest.mark.parametrize("spec", ["half", "lens:0.5", "betaexp:2", "extreme"])
+def test_compactify_schedule_is_the_level_by_level_search(spec):
+    # the one search over the masses against the loop over n: the same
+    # levels, series and weight, bit for bit
+    phi = parse_symbol(spec)
+    for log_n in range(10, 17):
+        levels = level_sets(phi, make_grid(2**log_n))
+        ref = compactify_schedule(levels.masses)
+        if ref is None:
+            with pytest.raises(WeightError, match="not compactifiable"):
+                compactify_weight(levels)
+            continue
+        ks, terms, log_steps = ref
+        w, sched = compactify_weight(levels)
+        assert np.array_equal(sched.ks, ks)
+        assert np.array_equal(sched.series.indices, np.arange(1, ks.size + 1))
+        assert np.array_equal(sched.series.terms, terms)
+        log_modulus = np.cumsum(log_steps)[levels.level_index]
+        assert np.array_equal(w.outer.log_modulus, log_modulus)
+        assert np.array_equal(w.modulus.values, np.exp(log_modulus))
 
 
 def test_compactify_rejects_fat_level_sets():
@@ -272,14 +312,15 @@ def test_box_decompact_beta_half():
     g = make_grid(2**14)
     phi = beta_exp(0.5)
     w, boxes = box_decompact_weight(phi, g)
-    u = boxes.u
+    u = w.density()
     assert np.all(u >= 1.0)
     assert np.mean(u - 1.0) <= boxes.added_mass + 1e-12
     assert boxes.added_mass <= 1.0
     assert np.all(np.diff(boxes.ks) > 0)
     # nu(W(center, 2^-k)) >= 2^-k at every chosen box
     nu = pullback(phi.trace(g), u)
-    for k, center in zip(boxes.ks, boxes.centers):
+    centers = np.exp(2j * np.pi * boxes.box_index / (1 << boxes.ks))
+    for k, center in zip(boxes.ks, centers):
         got = window_mass(nu, center, 2.0 ** -float(k))
         assert got >= 2.0 ** -float(k) - 1e-12
     _outer_normalization(w)
