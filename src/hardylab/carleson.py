@@ -151,9 +151,10 @@ def graded_boundary(singular_angles, octaves: int, per_octave: int):
     weights sum to 1.  Atoms run by sorted angle, side (+, -), octave and
     cell.  Coincident singular angles (a gap of 0) are refused.
     """
-    if octaves < 0 or per_octave < 1:
-        raise ValueError("graded sampling needs octaves >= 0 and "
-                         "per_octave >= 1")
+    if not (isinstance(octaves, (int, np.integer)) and octaves >= 0
+            and isinstance(per_octave, (int, np.integer)) and per_octave >= 1):
+        raise ValueError("graded sampling needs integers octaves >= 0 and "
+                         f"per_octave >= 1, got {octaves!r} and {per_octave!r}")
     sing = np.sort(np.asarray(singular_angles, dtype=float) % TWO_PI)
     if not sing.size:
         raise ValueError("graded sampling needs at least one singular angle")
@@ -217,16 +218,15 @@ def dyadic_boxes(mu: PullbackMeasure, n_max: int) -> np.ndarray:
     level = np.subtract(m == 0.5, e, dtype=np.int16)
     del m, e
     level[(d <= 0.0) | (level > n_max)] = -1
-    # the tables stop at the deepest corona held, so 2^n fits in an int64
-    n = np.arange(int(level.max(initial=0)) + 1)
     lv = np.maximum(level, 0)
     # with x = angle 2^n / (2 pi), box j covers x in (j - 1/2, j + 1/2]
-    x = (2.0**n / TWO_PI)[lv]
-    x *= mu.angles
+    x = np.multiply(mu.angles, 1.0 / TWO_PI)
+    np.ldexp(x, lv, out=x)
     x -= 0.5
     key = np.ceil(x, out=x).astype(np.int64)
     del x
-    first = ((1 << n) - 1)[lv]  # 2^n - 1, the key of box 0
+    first = np.left_shift(1, lv, dtype=np.int64)
+    first -= 1  # 2^n - 1, the key of box 0
     key &= first  # j mod 2^n
     key += first
     key[level < 0] = -1
@@ -340,6 +340,8 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     """
     if not p > 0:
         raise ValueError("Schatten exponent must be positive, not NaN")
+    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+        raise ValueError(f"box level n_max must be an integer >= 0, got {n_max!r}")
     _, masses, edges = _box_masses(dyadic_boxes(mu, n_max), mu.masses, n_max)
     per_level = np.zeros(n_max + 1)
     for n in range(n_max + 1):
@@ -360,7 +362,6 @@ def annulus_mass(mu: PullbackMeasure, h: float) -> float:
 class CarlesonReport:
     """Window-mass profile rho(h) over dyadic sizes with headline ratios."""
 
-    levels: np.ndarray
     h: np.ndarray
     rho: np.ndarray
     ratio: np.ndarray
@@ -461,10 +462,9 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     depth = depth[order]
     mas = mu.masses[keep][order]
     del keep, order
-    levels = np.arange(n_lo, n_hi + 1)
-    rho = np.zeros(len(levels))
-    for i, n in enumerate(levels):
-        h = 2.0**-n
+    h_vals = 2.0 ** -np.arange(n_lo, n_hi + 1, dtype=float)
+    rho = np.zeros(h_vals.size)
+    for i, h in enumerate(h_vals):
         if i:
             keep = depth <= h
             # one array at a time, so no level holds two copies of all three
@@ -474,6 +474,4 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
         if ang.size == 0:
             break
         rho[i] = _window_max(ang, mas, h)
-    h_vals = 2.0 ** -levels.astype(float)
-    return CarlesonReport(levels=levels, h=h_vals, rho=rho,
-                          ratio=rho / h_vals)
+    return CarlesonReport(h=h_vals, rho=rho, ratio=rho / h_vals)

@@ -20,7 +20,8 @@ buffer (:func:`_polar`), not by a complex exponential.
 
 Work done by blocks (the Krylov and moment blocks of the matrix route, the
 Horner blocks of an outer function, the segments of the pruned Carleson
-sweep) takes B = 2^floor(log2(count)/2) from one rule, :func:`_block_size`.
+sweep) takes B = 2^floor(log2(count)/2) from one rule, :func:`_block_size`,
+and dyadic levels stop at log2(N) - 2 by another, :func:`_level_cap`.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-# Samples at or below this magnitude make log(u) numerically meaningless.
-UNDERFLOW_FLOOR = 1e-300
 # Divergence rule of refined_mean: a mean of |v| beyond the cap, or a drift
 # between the full grid and its stride-2/4 sub-grids beyond this fraction of
 # the integrand's scale, counts as divergent.
@@ -55,6 +54,12 @@ DRIFT_TOL = 0.03
 def _block_size(count: int) -> int:
     """Largest power of two at most sqrt(count), the one block rule."""
     return 1 << (count.bit_length() - 1) // 2
+
+
+def _level_cap(n: int) -> int:
+    """log2(N) - 2, the deepest dyadic level an N-point grid resolves with
+    four samples per set."""
+    return int(n).bit_length() - 3
 
 
 def _polar(arg, modulus=None) -> np.ndarray:
@@ -186,17 +191,23 @@ def refined_mean(values) -> IntegralResult:
     return IntegralResult(mean, bool(drift > DRIFT_TOL * scale))
 
 
+def _log_modulus(values) -> np.ndarray:
+    """log u in a new array; a subnormal sample has underflowed and reads as
+    the 0 it stands for, log 0 = -inf."""
+    v = np.where(values < np.finfo(float).tiny, 0.0, values)
+    with np.errstate(divide="ignore"):
+        return np.log(v, out=v)
+
+
 def log_integral(u: BoundarySamples) -> IntegralResult:
     """Integral of log u over the circle for u with values in [0, 1].
 
-    Divergence is a return state, not an error: a sample at or below
-    UNDERFLOW_FLOOR, an underflowed 0.0 included, returns (-inf, divergent),
-    otherwise the verdict is that of :func:`refined_mean` on log u.
+    The verdict is :func:`refined_mean` on log u (:func:`_log_modulus`), the
+    rule of :func:`hardylab.outer.outer_from_modulus`.  Divergence is a
+    return state, not an error: a zero or subnormal sample returns
+    (-inf, divergent), a NaN sample is divergent.
     """
     v = np.asarray(u.values, dtype=float)
     if np.any(v < 0.0) or np.any(v > 1.0 + 1e-9):
         raise ValueError("log_integral expects values in [0, 1]")
-    v = np.minimum(v, 1.0)
-    if np.any(v <= UNDERFLOW_FLOOR):
-        return IntegralResult(float("-inf"), True)
-    return refined_mean(np.log(v))
+    return refined_mean(_log_modulus(np.minimum(v, 1.0)))

@@ -111,12 +111,11 @@ def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
     non-analytic trace.
 
     Two real FFTs, A = rfft(a) and B = rfft(b) of the samples a + ib, give
-    the spectrum X_k = A_k + i B_k (0 <= k <= N/2) in place of A, and the
-    conjugate negative frequencies conj(X_{N-k}) = A_k - i B_k (0 < k < N/2)
-    as X_k - 2i B_k in place of B; that extra rounding reaches only the
-    energy sum of the share, where the Nyquist bin counts once, on the
-    positive side.  A zero-stride trace (a constant c, as for the unit
-    weight) runs no FFT: its head is c and zeros, the FFT's own values.
+    the spectrum X_k = A_k + i B_k (0 <= k <= N/2).  The energy at the
+    negative frequencies N/2 < k < N is the total N sum |x|^2 (Parseval)
+    less the sum of |X_k|^2 over k <= N/2.  A zero-stride trace (a constant
+    c, as for the unit weight) runs no FFT: its head is c and zeros, the
+    FFT's own values.
     """
     n = trace.grid.size
     values = np.asarray(trace.values)
@@ -126,17 +125,15 @@ def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
         ib = np.fft.rfft(values.imag)
         ib *= 1j
         spectrum += ib  # X_0 .. X_{N/2}
-        ib *= -2.0
-        ib += spectrum  # A - iB, the conjugate of X_{N-k} at 0 < k < N/2
-        negative = np.vdot(ib[1:n // 2], ib[1:n // 2]).real
+        total = n * np.vdot(values, values).real
     else:  # X_0 = N c, as the FFT sums it, and X_k = 0 for k > 0
         spectrum = np.zeros(rows, dtype=complex)
         with np.errstate(invalid="ignore"):  # inf c gives NaN, refused below
             spectrum[0] = n * one[0]
-        negative = 0.0
-    total = np.vdot(spectrum, spectrum).real + negative
+        total = np.vdot(spectrum, spectrum).real
     if not np.isfinite(total):
         raise GridError(f"{name} trace has non-finite samples")
+    negative = total - np.vdot(spectrum, spectrum).real
     share = negative / total if total > 0 else 0.0
     if share > ANALYTIC_NEGATIVE_SHARE:
         raise GridError(
@@ -454,9 +451,9 @@ class TruncationStudy:
     """Per-index relative change of s_n between consecutive cuts.
 
     An index counts as converged while its change stays below STUDY_TOL.
+    Each spectrum carries its cut (row_cut, col_cut, grid_size).
     """
 
-    cuts: tuple
     spectra: tuple
     changes: tuple  # one array per consecutive pair
 
@@ -486,5 +483,4 @@ def truncation_study(trace_factory, cuts: Sequence[tuple]) -> TruncationStudy:
         count = min(len(a.values), len(b.values))
         denom = np.maximum(np.abs(b.values[:count]), 1e-300)
         changes.append(np.abs(a.values[:count] - b.values[:count]) / denom)
-    return TruncationStudy(cuts=tuple(cuts), spectra=tuple(spectra),
-                           changes=tuple(changes))
+    return TruncationStudy(spectra=tuple(spectra), changes=tuple(changes))

@@ -10,7 +10,8 @@ This is the Poisson integral of the trigonometric interpolant of u (its
 Nyquist term dropped), so interior values meet the trace as |z| -> 1.  It
 differs from the transform of the function that was sampled by the aliasing
 of the c_k and by the tail k >= N/2 of the exact series.  The boundary
-modulus of f equals exp(u) at the grid points.
+modulus of f equals exp(u) at the grid points.  Interior points of f and of
+every symbol lie in the open unit disk, by one rule, :func:`_interior_radius`.
 
 Whether u is integrable decides whether f exists.  The verdict is
 ``OuterFunction.log_divergent``, and a divergent outer function keeps its
@@ -37,8 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (BoundaryGrid, BoundarySamples, _block_size, _polar,
-                   coefficients_from_fft, refined_mean)
+from .grid import (BoundaryGrid, BoundarySamples, _block_size, _log_modulus,
+                   _polar, coefficients_from_fft, refined_mean)
 
 __all__ = [
     "NotLogIntegrableError",
@@ -64,12 +65,19 @@ def _hilbert_transform(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n)
 
 
+def _interior_radius(z) -> float:
+    """max |z|, the one interior domain: |z| >= 1 and NaN are refused."""
+    r = float(np.max(np.abs(z), initial=0.0))
+    if not r < 1.0:
+        raise ValueError(f"radius {r!r} is not inside the unit disk |z| < 1")
+    return r
+
+
 def _taylor_series(blocks: np.ndarray, z):
     """The power series with coefficients ``blocks.ravel()`` at |z| < 1,
     by Horner's rule in z^B over the Q rows of B coefficients."""
     zz = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zz) >= 1.0):
-        raise ValueError("interior evaluation requires |z| < 1")
+    _interior_radius(zz)
     b = blocks.shape[1]
     flat = zz.ravel()
     out = np.empty(flat.shape, dtype=complex)
@@ -150,8 +158,7 @@ def outer_from_modulus(u: BoundarySamples) -> OuterFunction:
     vals = np.asarray(u.values, dtype=float)
     if np.any(vals < 0) or np.any(~np.isfinite(vals)):
         raise ValueError("modulus samples must be finite and nonnegative")
-    with np.errstate(divide="ignore"):
-        outer = OuterFunction(u.grid, np.log(vals))
+    outer = OuterFunction(u.grid, _log_modulus(vals))
     if outer.log_divergent:
         raise NotLogIntegrableError("not log-integrable")
     return outer

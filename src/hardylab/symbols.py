@@ -20,8 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TWO_PI, BoundaryGrid, BoundarySamples, _polar, make_grid
-from .outer import OuterFunction
+from .grid import (TWO_PI, BoundaryGrid, BoundarySamples, _level_cap, _polar,
+                   make_grid)
+from .outer import OuterFunction, _interior_radius
 
 __all__ = [
     "Symbol",
@@ -71,9 +72,10 @@ class Symbol:
     trace phi*(e^{it}) at any real angle.  Without them the symbol is the
     outer function (:class:`hardylab.outer.OuterFunction`) of log1p(-co),
     which gives the trace on a grid and the interior values on a reference
-    grid chosen from the radius.  The interior evaluator of each reference
-    size is built on first use and kept: its N/2 Taylor coefficients, or
-    its refusal when the log-modulus is not integrable.
+    grid chosen from the radius.  Points outside the open unit disk are
+    refused.  The interior evaluator of each reference size is built on
+    first use and kept: its N/2 Taylor coefficients, or its refusal when
+    the log-modulus is not integrable.
     """
 
     kind: str
@@ -106,9 +108,10 @@ class Symbol:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
+        r = _interior_radius(z)
         if self.analytic is not None:
             return self.analytic(z)
-        n = _reference_size(float(np.max(np.abs(z), initial=0.0)))
+        n = _reference_size(r)
         if n not in self._interior:
             self._interior[n] = self._outer(make_grid(n)).interior()
         return self._interior[n](z)
@@ -295,15 +298,17 @@ def custom_outer(angles, modulus) -> Symbol:
     """Outer symbol from a table of (angle, modulus) boundary samples.
 
     Angles may be given in [0, 2*pi) or (-pi, pi]; the modulus is
-    interpolated periodically.  Angles must be finite, values in (0, 1].
+    interpolated periodically and linearly.  Angles must be finite, values
+    in [2^-26, 1]: below 2^-26, rounding the co-modulus 1 - m moves log m by
+    more than 2^-28.
     """
     a = np.asarray(angles, dtype=float)
     m = np.asarray(modulus, dtype=float)
     if a.shape != m.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need matching 1-d angle and modulus tables")
-    if not (np.all(np.isfinite(a)) and np.all(m > 0.0) and np.all(m <= 1.0)):
-        raise ValueError("custom outer angles must be finite and the modulus "
-                         "in (0, 1], not NaN")
+    if not (np.all(np.isfinite(a)) and np.all(m >= 2.0**-26) and np.all(m <= 1.0)):
+        raise ValueError("custom outer angles must be finite and the modulus in "
+                         f"[2^-26 = 1.49e-08, 1], not NaN; smallest {m.min():g}")
     a = a % TWO_PI
     order = np.argsort(a)
     a, m = a[order], m[order]
@@ -363,8 +368,8 @@ class LevelSets:
 def level_sets(phi: Symbol, grid: BoundaryGrid) -> LevelSets:
     """Compute level-set masses of a symbol on the grid.
 
-    Dyadic thresholds h_k = 2^{-k}, k = 0..log2(N) - 2: the resolution cap
-    keeps at least four samples per resolvable set.
+    Dyadic thresholds h_k = 2^{-k}, k = 0..log2(N) - 2, the level cap of
+    :func:`hardylab.grid._level_cap`.
 
     The level of a sample is the number of h_k, k >= 1, above its
     co-modulus.  The thresholds are powers of two, so it is read from the
@@ -374,7 +379,7 @@ def level_sets(phi: Symbol, grid: BoundaryGrid) -> LevelSets:
     and inf to level 0 and zero and negatives to k_top.
     """
     n = grid.size
-    k_top = int(np.log2(n)) - 2
+    k_top = _level_cap(n)
     thresholds = 2.0 ** -np.arange(k_top + 1)
     clamped = np.fmin(phi.co_modulus(grid).values, 0.5)
     np.fmax(clamped, 0.5 * thresholds[-1], out=clamped)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples, _constant, _polar
+from .grid import BoundaryGrid, BoundarySamples, _constant, _level_cap, _polar
 from .outer import NotLogIntegrableError, OuterFunction
 from .symbols import LevelSets, Symbol, lens, level_sets
 from .carleson import Series, _box_masses, dyadic_boxes, pullback
@@ -128,13 +128,13 @@ def power_weight(phi: Symbol, grid: BoundaryGrid, exponent) -> Weight:
     """Weight with |w*| = (1 - |phi*|)^K, or gauge form (1-|phi*|)^{g(|phi*|)}.
 
     ``exponent`` is a finite constant K >= 0 (K = 0 passes the unit weight
-    through) or a nondecreasing gauge callable, >= 1 and not NaN at the modulus.
+    through) or a nondecreasing gauge callable, finite and >= 1 at the modulus.
     """
     co = phi.co_modulus(grid)
     if callable(exponent):
         expo = np.asarray(exponent(1.0 - co.values), dtype=float)
-        if not np.all(expo >= 1.0):
-            raise WeightError("gauge values must be >= 1, not NaN")
+        if not np.all((expo >= 1.0) & (expo < np.inf)):
+            raise WeightError("gauge values must be finite and >= 1")
         return _co_power("gauge", co, expo)
     expo = float(exponent)
     if not 0.0 <= expo < np.inf:
@@ -146,10 +146,8 @@ def power_weight(phi: Symbol, grid: BoundaryGrid, exponent) -> Weight:
 
 def _co_power(name: str, co: BoundarySamples, expo) -> Weight:
     """Weight with log|w*| = expo log co, co the samples of 1 - |phi*|."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_modulus = expo * np.log(co.values)
-    log_modulus = np.where(np.isnan(log_modulus), -np.inf, log_modulus)
-    return _finish(name, co.grid, log_modulus)
+    with np.errstate(divide="ignore"):
+        return _finish(name, co.grid, expo * np.log(co.values))
 
 
 @dataclass(frozen=True)
@@ -194,8 +192,11 @@ def stretched_staircase_delta(beta: float, k_max: int) -> np.ndarray:
 
     The raw formula is not monotone for small k (the k^2 factor wins until
     2^{k/beta} takes over); it is replaced by its smallest nonincreasing
-    majorant, identical from the hump on.
+    majorant, identical from the hump on.  beta lies in (0, 2], as for
+    :func:`hardylab.symbols.beta_exp`.
     """
+    if not 0.0 < beta <= 2.0:
+        raise WeightError(f"staircase beta must be in (0, 2], got {beta}")
     k = np.arange(1, k_max + 1, dtype=float)
     delta = np.exp(-(2.0 ** (k / beta)) / k**2)
     return np.maximum.accumulate(delta[::-1])[::-1]
@@ -238,10 +239,8 @@ def lens_decompact_weight(theta: float, grid: BoundaryGrid) -> Weight:
     principal argument); ``outer`` is the outer function of the same
     modulus (1 - lambda_theta is outer).
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must be in (0, 1)")
-    a = 0.5 * (1.0 - 1.0 / theta)
     b = lens(theta).trace(grid).values
+    a = 0.5 * (1.0 - 1.0 / theta)
     np.subtract(1.0, b, out=b)
     log_modulus = a * np.log(np.abs(b))
     modulus = np.exp(log_modulus)
@@ -290,7 +289,7 @@ def box_decompact_weight(phi: Symbol, grid: BoundaryGrid):
 
     trace = phi.trace(grid)
     mu = pullback(trace, 1.0)
-    cap = int(np.log2(grid.size)) - 2
+    cap = _level_cap(grid.size)
     key = dyadic_boxes(mu, cap)
     keys, masses, edges = _box_masses(key, mu.masses, cap)
     ks = np.flatnonzero(np.diff(edges)[1:]) + 1  # the coronas k >= 1 held

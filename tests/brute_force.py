@@ -5,16 +5,17 @@ Each window query tests every atom against a window and sums the atoms
 inside with ``math.fsum``, so its only rounding is the final one;
 :func:`full_sweep` instead rounds as the library does, to pin which window
 the pruned sweep picks, :func:`box_masses` places an atom in its box as
-the library rounds it, and :func:`graded_cells` builds the graded arc cells
-octave by octave with ``np.linspace``.  The operator references keep the
-plain forms the library replaced: one N-point complex FFT per trace
+the library rounds it, :func:`box_keys` reads the heap keys from per-level
+tables gathered by level, and :func:`graded_cells` builds the graded arc
+cells octave by octave with ``np.linspace``.  The operator references keep
+the plain forms the library replaced: one N-point complex FFT per trace
 (:func:`fft_head`), N-length arrays for every factor of a moment integrand
 (:func:`moment_integral`) and a list of pivot rows for the kernel route
 (:func:`pivot_row_spectrum`), whose diagonal is read from |z|
 (:func:`kernel_diagonal`).  The symbol and weight references keep the
-closed forms the library now reads from one datum: outer log-moduli in
-the angle (:func:`beta_exp_log_modulus`, :func:`table_log_modulus`), the
-power weights as one power of the co-modulus (:func:`co_power`) and the
+closed forms the library now reads from one datum: outer log-moduli in the
+angle (:func:`beta_exp_log_modulus`, :func:`table_log_modulus`), the power
+weights as one power of the co-modulus (:func:`co_power`) and the
 compactify schedule found level by level (:func:`compactify_schedule`).
 """
 
@@ -100,6 +101,23 @@ def box_masses(mu, n_max):
                 j = math.ceil(float(a) * (2.0**n / TWO_PI) - 0.5) % 2**n
                 groups.setdefault((n, j), []).append(m)
     return {box: math.fsum(m) for box, m in groups.items()}
+
+
+def box_keys(mu, n_max):
+    """Heap keys 2^n - 1 + j of the atoms' boxes (-1 outside coronas
+    0..n_max), with 2^n / (2 pi) and 2^n - 1 gathered by level from tables
+    over the levels held."""
+    d = mu.depth
+    m, e = np.frexp(d)
+    level = (m == 0.5).astype(np.int64) - e
+    level[(d <= 0.0) | (level > n_max)] = -1
+    n = np.arange(int(level.max(initial=0)) + 1)
+    lv = np.maximum(level, 0)
+    x = (2.0**n / TWO_PI)[lv] * mu.angles
+    first = ((1 << n) - 1)[lv]
+    key = (np.ceil(x - 0.5).astype(np.int64) & first) + first
+    key[level < 0] = -1
+    return key
 
 
 def graded_cells(singular_angles, octaves, per_octave):

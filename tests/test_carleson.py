@@ -26,7 +26,7 @@ from hardylab.carleson import (
     pullback_graded,
 )
 
-from brute_force import (arc_profile, box_masses, dyadic_annulus_mass, full_sweep,
+from brute_force import (arc_profile, box_keys, box_masses, dyadic_annulus_mass, full_sweep,
                          graded_cells, window_mass)
 
 
@@ -175,9 +175,11 @@ def test_graded_boundary_refuses_coincident_angles(singular_angles):
         graded_boundary(singular_angles, 4, 2)
 
 
-@pytest.mark.parametrize("octaves, per_octave", [(-1, 24), (4, 0), (4, -2)])
+@pytest.mark.parametrize("octaves, per_octave", [(-1, 24), (4, 0), (4, -2),
+                                                  (2.5, 24), (4, np.nan)])
 def test_graded_grading_refuses_empty_octaves(octaves, per_octave):
-    # octaves = -1 used to return total mass 2, per_octave = 0 mass 1/16
+    # octaves = -1 used to return total mass 2, per_octave = 0 mass 1/16,
+    # octaves = 2.5 graded 3 octaves and a NaN per_octave failed in arange
     with pytest.raises(ValueError, match="octaves"):
         graded_boundary((0.0,), octaves, per_octave)
     with pytest.raises(ValueError, match="octaves"):
@@ -714,6 +716,30 @@ def test_box_grouping_matches_brute_force(n_max, dense, data):
     assert added == pytest.approx(boxes.added_mass, rel=1e-12)
 
 
+def _box_key_measures():
+    """The uniform pull-backs of three closed forms, the six graded lens
+    measures of the kernel route, rotated, and a sparse measure."""
+    for spec in ("half", "lens:0.5", "betaexp:2"):
+        for e in (12, 14, 16):
+            yield pullback(parse_symbol(spec).trace(make_grid(1 << e)), 1.0)
+    rng = np.random.default_rng(5)
+    for theta, hs, per_octave in ((0.3, False, 8), (0.5, False, 8), (0.7, False, 8),
+                                  (0.3, True, 8), (0.7, True, 8), (0.5, True, 12)):
+        phi = lens(theta)
+        mu = pullback_graded(phi, phi.co if hs else None, per_octave=per_octave)
+        rot = np.exp(2j * np.pi * rng.random())
+        yield PullbackMeasure(rot * mu.locations, mu.masses)
+    yield _sparse_measure()
+
+
+def test_box_keys_match_the_gathered_tables():
+    # 2^n / (2 pi) by ldexp and 2^n - 1 by a shift, bit for bit the keys of
+    # the per-level tables: scaling by 2^n is exact
+    for mu in _box_key_measures():
+        for n_max in (12, 24, 51):
+            assert np.array_equal(dyadic_boxes(mu, n_max), box_keys(mu, n_max))
+
+
 def test_luecking_levels_past_the_deepest_corona_are_zero():
     # atoms within 16 ulp of the circle are snapped onto it or land in
     # coronas 49-51, so no heap key needs a level past 51
@@ -726,6 +752,14 @@ def test_luecking_levels_past_the_deepest_corona_are_zero():
     deep = luecking_sum(mu, 0.7, 70).per_level
     assert deep.tolist() == luecking_sum(mu, 0.7, 51).per_level.tolist() + [0.0] * 19
     assert np.all(deep[49:52] > 0)
+
+
+@pytest.mark.parametrize("n_max", [-1, -2, 2.5, np.nan])
+def test_luecking_refuses_a_negative_or_fractional_level(n_max):
+    # -1 used to return an empty report, -2 and 2.5 to fail inside numpy
+    mu = PullbackMeasure(np.array([0.5j]), np.array([1.0]))
+    with pytest.raises(ValueError, match="n_max must be an integer >= 0"):
+        luecking_sum(mu, 2.0, n_max)
 
 
 def test_luecking_rejects_bad_p():

@@ -219,7 +219,7 @@ def test_strict_unit_weight_takes_no_temporary():
     assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("n", [2**10, 2**11, 2**12, 2**14])
+@pytest.mark.parametrize("n", [2**10, 2**11, 2**12, 2**14, 2**20])
 def test_one_divergence_rule(n):
     # log_integral, outer_from_modulus and hs_weight read the same rule:
     # log(|t|/pi) is integrable, log(e^{-1/|t|}) = -1/|t| is not
@@ -237,3 +237,16 @@ def test_one_divergence_rule(n):
         outer_from_modulus(g.samples(cusp))
     # extreme_not_exposed has 1 - |phi*| = e^{-1/|t|} in closed form
     assert hs_weight(extreme_not_exposed(), g).log_divergent
+    # u = 1/2 but one sample at 1e-301, a normal float: both read the grid
+    # mean of log u with one verdict, integrable once 2^20 samples dilute
+    # it (log_integral used to read any sample at or below 1e-300 as 0)
+    u = np.full(n, 0.5)
+    u[n // 3] = 1e-301
+    res = log_integral(g.samples(u))
+    assert res.value == np.mean(np.log(u))
+    try:
+        accepted = not outer_from_modulus(g.samples(u)).log_divergent
+    except NotLogIntegrableError:
+        accepted = False
+    assert accepted is not res.divergent
+    assert accepted or n < 2**20

@@ -217,8 +217,28 @@ def test_outer_symbol_refuses_radius_beyond_reference_grid(make):
     phi(0.9999 * np.exp(0.3j))
     with pytest.raises(ValueError, match="radius 0.99999 "):
         phi(np.array([0.5, 0.99999j]))
-    with pytest.raises(ValueError, match="radius 1.0 "):
+    with pytest.raises(ValueError, match="radius 1.0 is not inside the unit disk"):
         phi(1.0)
+
+
+def _outer_function():
+    g = make_grid(1 << 10)
+    return OuterFunction(g, 0.3 * np.cos(g.angles))
+
+
+@pytest.mark.parametrize("make", [lambda: lens(0.5), half, lambda: beta_exp(2.0),
+                                  lambda: beta_exp(0.5), extreme_not_exposed,
+                                  _outer_function],
+                         ids=["lens", "half", "betaexp2", "betaexp0.5", "extreme",
+                              "outer"])
+@pytest.mark.parametrize("z, radius", [(1.0, "1.0"), (1.5, "1.5"), (np.nan, "nan"),
+                                       (np.array([0.5, 1.5]), "1.5")])
+def test_interior_evaluation_refuses_the_closed_disk_complement(make, z, radius):
+    # closed forms used to evaluate outside the disk (half()(2.0) = 1.5),
+    # an outer function at NaN returned NaN, and an outer-type symbol at
+    # 1.5 raised OverflowError
+    with pytest.raises(ValueError, match=f"^radius {radius} is not inside the unit disk"):
+        make()(z)
 
 
 def test_reference_size_stops_at_the_largest_grid():
@@ -342,6 +362,19 @@ def test_custom_outer_validation():
                             ([0.0, np.inf], [0.5, 0.5])):
         with pytest.raises(ValueError, match="NaN"):
             custom_outer(angles, modulus)
+
+
+@pytest.mark.parametrize("modulus", [1e-20, 0.0, -0.5, 2.0**-26 * (1 - 2.0**-52)])
+def test_custom_outer_refuses_moduli_below_the_floor(modulus):
+    # 1 - m rounds to within 2^-54, which moves log m by more than 2^-28
+    # below m = 2^-26: [1e-20, 1e-20, 0.5, ...] used to read |trace| 0.0
+    # and a spurious NotLogIntegrableError
+    table = [modulus, modulus, 0.5, 0.5, 0.5, 0.5]
+    with pytest.raises(ValueError, match=r"modulus in \[2\^-26 = 1.49e-08, 1\], not "
+                                         f"NaN; smallest {min(table):g}$"):
+        custom_outer(np.arange(6.0), table)
+    table[:2] = [2.0**-26] * 2
+    assert np.min(np.abs(custom_outer(np.arange(6.0), table).trace(make_grid(64)).values)) > 0.0
 
 
 _TABLE = (np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False),

@@ -129,10 +129,12 @@ def test_gauge_weight_dominated_by_power():
 def test_gauge_rejects_values_below_one():
     with pytest.raises(WeightError):
         power_weight(half(), GRID, lambda t: np.full_like(t, 0.5))
-    # a NaN gauge value too, which used to pass
-    with pytest.raises(WeightError, match="gauge values"):
-        power_weight(half(), GRID,
-                     lambda t: np.where(np.arange(t.size) == 7, np.nan, 2.0))
+    # a NaN gauge value too, which used to pass, and an infinite one, which
+    # made inf * log 1 = NaN at a modulus of 0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(WeightError, match="gauge values must be finite and >= 1"):
+            power_weight(half(), GRID,
+                         lambda t, bad=bad: np.where(np.arange(t.size) == 7, bad, 2.0))
 
 
 @pytest.mark.parametrize("exponent", [np.nan, np.inf, -0.5])
@@ -264,6 +266,19 @@ def test_staircase_series_matches_quadratic_tail():
 
 
 # ---------------------------------------------------------------- lens
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, np.nan])
+def test_lens_decompact_refuses_theta_as_lens_does(theta):
+    with pytest.raises(ValueError, match=r"^lens parameter must be in \(0, 1\)"):
+        lens_decompact_weight(theta, GRID)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, 2.5, np.nan])
+def test_staircase_delta_refuses_beta_outside_the_betaexp_range(beta):
+    # beta = 0 used to give all-zero deltas
+    with pytest.raises(WeightError, match=r"staircase beta must be in \(0, 2\]"):
+        stretched_staircase_delta(beta, 9)
+
 
 def test_lens_decompact_exponent():
     w = lens_decompact_weight(0.5, GRID)
