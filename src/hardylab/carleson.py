@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TWO_PI, BoundarySamples, _block_size
+from .grid import TWO_PI, BoundarySamples, _block_size, _is_integer
 from .symbols import Symbol
 
 __all__ = [
@@ -151,8 +151,8 @@ def graded_boundary(singular_angles, octaves: int, per_octave: int):
     weights sum to 1.  Atoms run by sorted angle, side (+, -), octave and
     cell.  Coincident singular angles (a gap of 0) are refused.
     """
-    if not (isinstance(octaves, (int, np.integer)) and octaves >= 0
-            and isinstance(per_octave, (int, np.integer)) and per_octave >= 1):
+    if not (_is_integer(octaves) and octaves >= 0
+            and _is_integer(per_octave) and per_octave >= 1):
         raise ValueError("graded sampling needs integers octaves >= 0 and "
                          f"per_octave >= 1, got {octaves!r} and {per_octave!r}")
     sing = np.sort(np.asarray(singular_angles, dtype=float) % TWO_PI)
@@ -340,7 +340,7 @@ def luecking_sum(mu: PullbackMeasure, p: float, n_max: int) -> LueckingReport:
     """
     if not p > 0:
         raise ValueError("Schatten exponent must be positive, not NaN")
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
+    if not (_is_integer(n_max) and n_max >= 0):
         raise ValueError(f"box level n_max must be an integer >= 0, got {n_max!r}")
     _, masses, edges = _box_masses(dyadic_boxes(mu, n_max), mu.masses, n_max)
     per_level = np.zeros(n_max + 1)
@@ -451,8 +451,10 @@ def carleson_profile(mu: PullbackMeasure, n_lo: int, n_hi: int) -> CarlesonRepor
     window ends (:func:`_window_max`), and no sort.  Once no atom is left
     the remaining levels are 0.
     """
-    if not 0 <= n_lo < n_hi <= DEEPEST_LEVEL:
-        raise ValueError(f"need 0 <= n_lo < n_hi <= {DEEPEST_LEVEL}")
+    if not (_is_integer(n_lo) and _is_integer(n_hi)
+            and 0 <= n_lo < n_hi <= DEEPEST_LEVEL):
+        raise ValueError(f"need integer levels 0 <= n_lo < n_hi <= {DEEPEST_LEVEL}, "
+                         f"got n_lo={n_lo!r}, n_hi={n_hi!r}")
     depth = mu.depth
     keep = depth <= 2.0**-n_lo
     depth = depth[keep]

@@ -15,13 +15,15 @@ shift of 2 pi, not by a float modulo:
 passes pi, and :class:`hardylab.carleson.PullbackMeasure` adds it where
 ``np.angle`` is negative.  Only the table angles of
 :func:`hardylab.symbols.custom_outer`, which may be anything, are reduced
-by a modulo.  A point r e^{it} is built from cos t and sin t in one complex
-buffer (:func:`_polar`), not by a complex exponential.
+by a modulo, the one inside ``np.interp(period=2 pi)``.  A point r e^{it}
+is built from cos t and sin t in one complex buffer (:func:`_polar`), not
+by a complex exponential.
 
 Work done by blocks (the Krylov and moment blocks of the matrix route, the
 Horner blocks of an outer function, the segments of the pruned Carleson
 sweep) takes B = 2^floor(log2(count)/2) from one rule, :func:`_block_size`,
-and dyadic levels stop at log2(N) - 2 by another, :func:`_level_cap`.
+and dyadic levels stop at log2(N) - 2 by another, :func:`_level_cap`.  A
+size, cut or level setting is an integer by a third, :func:`_is_integer`.
 """
 
 from __future__ import annotations
@@ -51,9 +53,14 @@ MAGNITUDE_CAP = 1e6
 DRIFT_TOL = 0.03
 
 
+def _is_integer(x) -> bool:
+    """Whether a setting is an integer: an ``int`` or a numpy integer."""
+    return isinstance(x, (int, np.integer))
+
+
 def _block_size(count: int) -> int:
     """Largest power of two at most sqrt(count), the one block rule."""
-    return 1 << (count.bit_length() - 1) // 2
+    return 1 << (int(count).bit_length() - 1) // 2
 
 
 def _level_cap(n: int) -> int:
@@ -151,9 +158,9 @@ def make_grid(n: int) -> BoundaryGrid:
 
     The grid holds only N; see :class:`BoundaryGrid` for its arrays.
     """
-    if n < 8 or (n & (n - 1)) != 0:
-        raise GridError(f"grid size must be a power of two >= 8, got {n}")
-    return BoundaryGrid(n)
+    if not (_is_integer(n) and n >= 8 and (n & (n - 1)) == 0):
+        raise GridError(f"grid size must be a power of two >= 8, got {n!r}")
+    return BoundaryGrid(int(n))
 
 
 def coefficients_from_fft(spectrum: np.ndarray, m: int, n: int) -> np.ndarray:

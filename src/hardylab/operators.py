@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .grid import (BoundarySamples, GridError, IntegralResult, _block_size,
-                   _constant, coefficients_from_fft, refined_mean)
+                   _constant, _is_integer, coefficients_from_fft, refined_mean)
 from .carleson import PullbackMeasure, Series
 
 __all__ = [
@@ -173,15 +173,16 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
     Both traces must be finite and analytic: one with more than 1% of its
     energy at negative frequencies (e.g. the flat-phase trace of a
     log-divergent weight) raises GridError, as does a NaN or infinite
-    sample.  Negative cuts and cuts at or beyond N/4 are rejected; the
-    guard keeps the coefficients of w and phi clear of aliasing.
+    sample.  Cuts that are not integers, negative cuts and cuts at or
+    beyond N/4 are rejected; the guard keeps the coefficients of w and phi
+    clear of aliasing.
     """
     if wtrace.grid != phitrace.grid:
         raise GridError("traces must share a grid")
     n = wtrace.grid.size
-    if not (0 <= row_cut < n // 4 and 0 <= col_cut < n // 4):
-        raise GridError(f"cuts must lie in 0..N/4 - 1 = {n // 4 - 1}, got "
-                        f"row_cut={row_cut}, col_cut={col_cut}")
+    if not all(_is_integer(cut) and 0 <= cut < n // 4 for cut in (row_cut, col_cut)):
+        raise GridError(f"cuts must be integers in 0..N/4 - 1 = {n // 4 - 1}, got "
+                        f"row_cut={row_cut!r}, col_cut={col_cut!r}")
     rows, cols = row_cut + 1, col_cut + 1
     phi = _analytic_head(phitrace, rows, "symbol")
     toeplitz = _lower_toeplitz(phi)
@@ -386,8 +387,8 @@ def column_pnorms(wtrace: BoundarySamples, phitrace: BoundarySamples,
     """
     if not p >= 1:
         raise ValueError("Hardy exponent must be >= 1, not NaN")
-    if not n_max >= 0:
-        raise ValueError(f"column cut n_max must be >= 0, got {n_max}")
+    if not (_is_integer(n_max) and n_max >= 0):
+        raise ValueError(f"column cut n_max must be an integer >= 0, got {n_max!r}")
     w = np.asarray(wtrace.values)
     phi = np.asarray(phitrace.values)
     b = _block_size(n_max + 1)
@@ -467,10 +468,12 @@ def truncation_study(trace_factory, cuts: Sequence[tuple]) -> TruncationStudy:
     """Recompute the spectrum at growing cuts (row, col, N) and compare.
 
     ``trace_factory(N)`` must return the (wtrace, phitrace) pair on the
-    N-point grid; cut triples must be increasing.
+    N-point grid; cut triples must be integers, increasing.
     """
     if len(cuts) < 2:
         raise ValueError("need at least two cuts to compare")
+    if not all(_is_integer(x) for cut in cuts for x in cut):
+        raise GridError(f"cut components (row, col, N) must be integers, got {cuts!r}")
     if not all(a <= b for pair in zip(cuts, cuts[1:]) for a, b in zip(*pair)):
         raise ValueError("cuts must be nondecreasing in every component")
     spectra = []

@@ -69,7 +69,7 @@ def _interior_radius(z) -> float:
     """max |z|, the one interior domain: |z| >= 1 and NaN are refused."""
     r = float(np.max(np.abs(z), initial=0.0))
     if not r < 1.0:
-        raise ValueError(f"radius {r!r} is not inside the unit disk |z| < 1")
+        raise ValueError(f"radius {r!r} is not inside the unit disk |z| < 1, not NaN")
     return r
 
 

@@ -302,37 +302,27 @@ def custom_outer(angles, modulus) -> Symbol:
     in [2^-26, 1]: below 2^-26, rounding the co-modulus 1 - m moves log m by
     more than 2^-28.
     """
-    a = np.asarray(angles, dtype=float)
-    m = np.asarray(modulus, dtype=float)
+    a = np.array(angles, dtype=float)
+    m = np.array(modulus, dtype=float)
     if a.shape != m.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need matching 1-d angle and modulus tables")
     if not (np.all(np.isfinite(a)) and np.all(m >= 2.0**-26) and np.all(m <= 1.0)):
         raise ValueError("custom outer angles must be finite and the modulus in "
                          f"[2^-26 = 1.49e-08, 1], not NaN; smallest {m.min():g}")
-    a = a % TWO_PI
-    order = np.argsort(a)
-    a, m = a[order], m[order]
-    a_ext = np.concatenate(([a[-1] - TWO_PI], a, [a[0] + TWO_PI]))
-    m_ext = np.concatenate(([m[-1]], m, [m[0]]))
-
-    def modulus_fn(t):
-        return np.interp(np.asarray(t, dtype=float) % TWO_PI, a_ext, m_ext)
-
     return Symbol(
         kind="customouter",
         label="outer:<table>",
         params=(),
         singular_angles=(),
-        co=lambda t: 1.0 - modulus_fn(t),
+        co=lambda t: 1.0 - np.interp(t, a, m, period=TWO_PI),
     )
 
 
 def constant(c: complex) -> Symbol:
-    """Constant symbol phi ≡ c with |c| < 1; diagnostic use."""
+    """Constant symbol phi ≡ c with |c| < 1, the interior domain of
+    :func:`hardylab.outer._interior_radius`; diagnostic use."""
     c = complex(c)
-    if not abs(c) < 1.0:
-        raise ValueError("constant symbol must lie inside the disk, not NaN")
-
+    _interior_radius(c)
     return Symbol(
         kind="const",
         label=f"const:{c.real:g}" if c.imag == 0 else f"const:{c!r}",

@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BoundaryGrid, BoundarySamples, _constant, _level_cap, _polar
+from .grid import (BoundaryGrid, BoundarySamples, _constant, _is_integer,
+                   _level_cap, _polar)
 from .outer import NotLogIntegrableError, OuterFunction
 from .symbols import LevelSets, Symbol, lens, level_sets
 from .carleson import Series, _box_masses, dyadic_boxes, pullback
@@ -35,7 +36,6 @@ __all__ = [
     "CompactifySchedule",
     "BoxSelection",
     "unit_weight",
-    "hs_weight",
     "power_weight",
     "default_gauge",
     "compactify_weight",
@@ -109,39 +109,33 @@ def unit_weight(grid: BoundaryGrid) -> Weight:
     )
 
 
-def hs_weight(phi: Symbol, grid: BoundaryGrid) -> Weight:
-    """Outer weight with |w*|^2 = 1 - |phi*| pointwise at the grid angles.
-
-    This is :func:`power_weight` at K = 1/2, named "hs"; it is
-    ``log_divergent`` when log(1 - |phi*|) is not integrable.
-    """
-    return _co_power("hs", phi.co_modulus(grid), 0.5)
-
-
-def default_gauge(t):
-    """Nondecreasing gauge g(t) = max(2, log log(e^2/(1-t))) -> inf."""
-    inner = np.maximum(1.0 - np.asarray(t, dtype=float), 1e-300)
+def default_gauge(co):
+    """Gauge g(co) = max(2, log(2 + log(1/co))) of the co-modulus
+    co = 1 - |phi*|: nonincreasing in co, and -> inf as co -> 0.  co is
+    floored at 1e-300, so g stays finite where co = 0 (there co^g = 0)."""
+    inner = np.maximum(np.asarray(co, dtype=float), 1e-300)
     return np.maximum(2.0, np.log(2.0 + np.log(1.0 / inner)))
 
 
 def power_weight(phi: Symbol, grid: BoundaryGrid, exponent) -> Weight:
-    """Weight with |w*| = (1 - |phi*|)^K, or gauge form (1-|phi*|)^{g(|phi*|)}.
+    """Weight with |w*| = co^K, co = 1 - |phi*|, or gauge form co^{g(co)}.
 
-    ``exponent`` is a finite constant K >= 0 (K = 0 passes the unit weight
-    through) or a nondecreasing gauge callable, finite and >= 1 at the modulus.
+    ``exponent`` is a finite constant K >= 0 (K = 0 is the unit weight, with
+    no sampling) or a gauge callable of the co-modulus samples, finite and
+    >= 1 at each.
     """
+    if not callable(exponent):
+        expo = float(exponent)
+        if not 0.0 <= expo < np.inf:
+            raise WeightError(f"power exponent must be finite and >= 0, got {expo}")
+        if expo == 0.0:
+            return unit_weight(grid)
+        return _co_power(f"power:{expo:g}", phi.co_modulus(grid), expo)
     co = phi.co_modulus(grid)
-    if callable(exponent):
-        expo = np.asarray(exponent(1.0 - co.values), dtype=float)
-        if not np.all((expo >= 1.0) & (expo < np.inf)):
-            raise WeightError("gauge values must be finite and >= 1")
-        return _co_power("gauge", co, expo)
-    expo = float(exponent)
-    if not 0.0 <= expo < np.inf:
-        raise WeightError(f"power exponent must be finite and >= 0, got {expo}")
-    if expo == 0.0:
-        return unit_weight(co.grid)
-    return _co_power(f"power:{expo:g}", co, expo)
+    expo = np.asarray(exponent(co.values), dtype=float)
+    if not np.all((expo >= 1.0) & (expo < np.inf)):
+        raise WeightError("gauge values must be finite and >= 1")
+    return _co_power("gauge", co, expo)
 
 
 def _co_power(name: str, co: BoundarySamples, expo) -> Weight:
@@ -193,10 +187,12 @@ def stretched_staircase_delta(beta: float, k_max: int) -> np.ndarray:
     The raw formula is not monotone for small k (the k^2 factor wins until
     2^{k/beta} takes over); it is replaced by its smallest nonincreasing
     majorant, identical from the hump on.  beta lies in (0, 2], as for
-    :func:`hardylab.symbols.beta_exp`.
+    :func:`hardylab.symbols.beta_exp`; k_max is an integer >= 0.
     """
     if not 0.0 < beta <= 2.0:
         raise WeightError(f"staircase beta must be in (0, 2], got {beta}")
+    if not (_is_integer(k_max) and k_max >= 0):
+        raise WeightError(f"staircase k_max must be an integer >= 0, got {k_max!r}")
     k = np.arange(1, k_max + 1, dtype=float)
     delta = np.exp(-(2.0 ** (k / beta)) / k**2)
     return np.maximum.accumulate(delta[::-1])[::-1]
@@ -322,8 +318,8 @@ def parse_weight(spec: str, phi: Symbol, grid: BoundaryGrid,
     name = name.strip().lower()
     if name == "unit":
         w = unit_weight(grid)
-    elif name == "hs":
-        w = hs_weight(phi, grid)
+    elif name == "hs":  # |w*|^2 = 1 - |phi*|
+        w = _co_power("hs", phi.co_modulus(grid), 0.5)
     elif name == "power":
         w = power_weight(phi, grid, float(arg))
     elif name == "gauge":

@@ -14,7 +14,9 @@ the plain forms the library replaced: one N-point complex FFT per trace
 (:func:`pivot_row_spectrum`), whose diagonal is read from |z|
 (:func:`kernel_diagonal`).  The symbol and weight references keep the
 closed forms the library now reads from one datum: outer log-moduli in the
-angle (:func:`beta_exp_log_modulus`, :func:`table_log_modulus`), the power
+angle (:func:`beta_exp_log_modulus`, :func:`table_log_modulus`), a
+table's co-modulus through a periodic extension built by hand
+(:func:`table_co_modulus`), the power
 weights as one power of the co-modulus (:func:`co_power`) and the
 compactify schedule found level by level (:func:`compactify_schedule`).
 """
@@ -153,6 +155,19 @@ def table_log_modulus(angles, modulus, t):
     table, read at the angles t."""
     return np.log(np.interp(np.asarray(t) % TWO_PI, np.asarray(angles) % TWO_PI,
                             modulus, period=TWO_PI))
+
+
+def table_co_modulus(angles, modulus, t):
+    """1 - m at the angles t, m the periodic linear interpolation of an
+    (angle, modulus) table built by hand: the angles reduced mod 2 pi and
+    sorted, one entry carried past each end, and ``np.interp`` with no
+    period."""
+    a = np.asarray(angles, dtype=float) % TWO_PI
+    order = np.argsort(a)
+    a, m = a[order], np.asarray(modulus, dtype=float)[order]
+    a_ext = np.concatenate(([a[-1] - TWO_PI], a, [a[0] + TWO_PI]))
+    m_ext = np.concatenate(([m[-1]], m, [m[0]]))
+    return 1.0 - np.interp(np.asarray(t, dtype=float) % TWO_PI, a_ext, m_ext)
 
 
 def co_power(co, expo):

@@ -68,9 +68,9 @@ def test_measure_angles_are_the_angle_mod_two_pi():
 def test_pullback_density_mass_is_h2_norm():
     g = make_grid(2**12)
     phi = half()
-    from hardylab.weights import hs_weight
+    from hardylab.weights import parse_weight
 
-    w = hs_weight(phi, g)
+    w = parse_weight("hs", phi, g, strict=False)
     mu = pullback(phi.trace(g), w.density())
     assert abs(mu.total_mass - np.mean(w.density())) < 1e-14
 
@@ -94,6 +94,11 @@ def test_measure_refuses_nan_atoms(locations, masses, match):
     # spectrum and a profile that read the other atoms only
     with pytest.raises(ValueError, match=match):
         PullbackMeasure(locations, masses)
+
+
+def test_measure_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        PullbackMeasure([0.5, 0.2j], [0.1, 0.2, 0.3])
 
 
 def test_pullback_refuses_nan_density():
@@ -184,6 +189,11 @@ def test_graded_grading_refuses_empty_octaves(octaves, per_octave):
         graded_boundary((0.0,), octaves, per_octave)
     with pytest.raises(ValueError, match="octaves"):
         pullback_graded(lens(0.5), octaves=octaves, per_octave=per_octave)
+
+
+def test_graded_boundary_needs_a_singular_angle():
+    with pytest.raises(ValueError, match="at least one singular angle"):
+        graded_boundary((), 4, 2)
 
 
 def test_graded_boundary_without_octaves_is_the_core_atoms():
@@ -455,6 +465,21 @@ def test_profile_refuses_levels_beyond_the_deepest():
     assert carleson_profile(mu, 0, DEEPEST_LEVEL).rho.size == DEEPEST_LEVEL + 1
     with pytest.raises(ValueError):
         carleson_profile(mu, 0, DEEPEST_LEVEL + 1)
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(0.5, 3), (0, 3.5), (np.nan, 3), (0, np.nan),
+                                        (1.0, 3)])
+def test_profile_refuses_fractional_levels(n_lo, n_hi):
+    # (0, 3.5) used to return the profile at h = 2^-0.5, 2^-1.5, ...
+    with pytest.raises(ValueError, match=f"n_lo={n_lo!r}, n_hi={n_hi!r}"):
+        carleson_profile(_sparse_measure(), n_lo, n_hi)
+
+
+def test_profile_takes_numpy_integer_levels():
+    mu = _sparse_measure()
+    got = carleson_profile(mu, np.int64(1), np.int64(9))
+    want = carleson_profile(mu, 1, 9)
+    assert np.array_equal(got.h, want.h) and np.array_equal(got.rho, want.rho)
 
 
 def test_profile_sees_a_pair_between_level_18_roots():
@@ -790,6 +815,17 @@ def test_series_verdict_closed_forms():
     assert Series(k, finite).verdict == "converging"
 
 
+def test_series_without_four_positive_tail_terms_is_inconclusive():
+    # a positive last term but three positive terms in the tail n >= 20
+    k = np.arange(1, 41, dtype=float)
+    terms = np.where(k < 20, 1.0 / k**2, 0.0)
+    terms[-3:] = 1e-3
+    series = Series(k, terms)
+    assert series.tail_exponent is None and series.verdict == "inconclusive"
+    empty = Series(np.arange(0), np.zeros(0))
+    assert empty.tail_exponent is None and empty.verdict == "converging"
+
+
 def test_series_tail_exponent_is_the_reason():
     k = np.arange(1, 41, dtype=float)
     assert abs(Series(k, 1.0 / k**2).tail_exponent - 2.0) <= 1e-9
@@ -909,3 +945,9 @@ def test_corona_levels_match_dyadic_annuli_at_the_edges():
     assert np.all(level >= 0)
     for m in range(51):
         assert np.sum(level == m) == dyadic_annulus_mass(mu, 2.0**-m)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5, 1.5, np.nan])
+def test_annulus_mass_refuses_a_size_outside_the_unit_interval(h):
+    with pytest.raises(ValueError, match=r"annulus size must be in \(0, 1\]"):
+        annulus_mass(_uniform_circle_measure(64), h)

@@ -20,7 +20,7 @@ from hardylab.grid import (
 from hardylab.operators import operator_matrix
 from hardylab.outer import NotLogIntegrableError, outer_from_modulus
 from hardylab.symbols import custom_outer, extreme_not_exposed, half
-from hardylab.weights import hs_weight, parse_weight, unit_weight
+from hardylab.weights import parse_weight, unit_weight
 
 
 def test_grid_angles_offset():
@@ -88,10 +88,23 @@ def test_grids_compare_and_hash_by_size():
         operator_matrix(unit_weight(make_grid(128)).trace, phi, 8, 8)
 
 
-@pytest.mark.parametrize("n", [4, 6, 7, 100])
+@pytest.mark.parametrize("n", [4, 6, 7, 100, 2.5, np.nan, 64.0])
 def test_grid_rejects_bad_sizes(n):
-    with pytest.raises(GridError):
+    # a float N used to fail inside Python's & operator
+    with pytest.raises(GridError, match=f"grid size must be a power of two >= 8, got {n!r}"):
         make_grid(n)
+
+
+def test_grid_takes_a_numpy_integer_size():
+    g = make_grid(np.int64(64))
+    assert g == make_grid(64) and type(g.size) is int
+
+
+def test_samples_refuse_the_wrong_shape():
+    g = make_grid(8)
+    for values in (np.ones(7), np.ones((2, 8)), 1.0):
+        with pytest.raises(GridError, match="expected 8 samples"):
+            g.samples(values)
 
 
 @pytest.mark.parametrize("n", [8, 64, 4096])
@@ -221,7 +234,7 @@ def test_strict_unit_weight_takes_no_temporary():
 
 @pytest.mark.parametrize("n", [2**10, 2**11, 2**12, 2**14, 2**20])
 def test_one_divergence_rule(n):
-    # log_integral, outer_from_modulus and hs_weight read the same rule:
+    # log_integral, outer_from_modulus and the hs weight read the same rule:
     # log(|t|/pi) is integrable, log(e^{-1/|t|}) = -1/|t| is not
     g = make_grid(n)
     t = np.abs(g.signed_angles())
@@ -230,13 +243,13 @@ def test_one_divergence_rule(n):
     assert not outer_from_modulus(g.samples(lin)).log_divergent
     # |w*|^2 = 1 - |phi*| = |t|/pi, phi the outer symbol of that table
     phi = custom_outer(g.signed_angles(), 1.0 - lin)
-    assert not hs_weight(phi, g).log_divergent
+    assert not parse_weight("hs", phi, g, strict=False).log_divergent
     cusp = np.exp(-1.0 / t)
     assert log_integral(g.samples(cusp)).divergent
     with pytest.raises(NotLogIntegrableError):
         outer_from_modulus(g.samples(cusp))
     # extreme_not_exposed has 1 - |phi*| = e^{-1/|t|} in closed form
-    assert hs_weight(extreme_not_exposed(), g).log_divergent
+    assert parse_weight("hs", extreme_not_exposed(), g, strict=False).log_divergent
     # u = 1/2 but one sample at 1e-301, a normal float: both read the grid
     # mean of log u with one verdict, integrable once 2^20 samples dilute
     # it (log_integral used to read any sample at or below 1e-300 as 0)

@@ -154,6 +154,44 @@ def test_truncation_study_refuses_a_shrinking_cut(cuts):
         truncation_study(_dilation_traces, cuts)
 
 
+def test_truncation_study_needs_two_cuts():
+    with pytest.raises(ValueError, match="at least two cuts"):
+        truncation_study(_dilation_traces, [(32, 32, 1 << 10)])
+
+
+@pytest.mark.parametrize("bad", [2.5, np.nan, 32.0])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_truncation_study_refuses_fractional_cut_components(slot, bad):
+    # a float cut used to fail inside numpy, a float N inside make_grid
+    cuts = [[32, 32, 1 << 10], [64, 64, 1 << 11]]
+    cuts[1][slot] = bad
+    with pytest.raises(GridError, match=r"cut components \(row, col, N\) must be integers"):
+        truncation_study(_dilation_traces, [tuple(c) for c in cuts])
+
+
+def test_truncation_study_takes_numpy_integer_cuts():
+    cuts = [(32, 32, 1 << 10), (64, 64, 1 << 11)]
+    study = truncation_study(_dilation_traces, [tuple(map(np.int64, c)) for c in cuts])
+    want = truncation_study(_dilation_traces, cuts)
+    for a, b in zip(study.changes, want.changes):
+        assert np.array_equal(a, b)
+
+
+def test_singular_spectrum_length_is_its_value_count():
+    sp = SingularSpectrum(values=np.ones(5), row_cut=4, col_cut=4, grid_size=64,
+                          source="matrix", floor=1e-12)
+    assert len(sp) == 5
+
+
+def test_decay_fit_reports_an_unfittable_window():
+    # twelve values: fewer than FIT_MIN_WINDOW past the FIT_SKIP head
+    s = 0.5 ** np.arange(1, 13)
+    fit = decay_fit(SingularSpectrum(values=s, row_cut=11, col_cut=11, grid_size=64,
+                                     source="matrix", floor=1e-12))
+    assert not fit.ok and fit.window == (9, 12) and fit.residual == np.inf
+    assert np.isnan(fit.b) and np.isnan(fit.gamma)
+
+
 def test_matches_fft_of_products_reference():
     g = make_grid(1 << 18)
     phi = parse_symbol("lens:0.5")
@@ -214,9 +252,11 @@ def test_cut_just_below_quarter_guard():
         operator_matrix(w, phi, 256, 10)
 
 
-@pytest.mark.parametrize("row_cut, col_cut", [(-1, 3), (3, -1)])
+@pytest.mark.parametrize("row_cut, col_cut", [(-1, 3), (3, -1), (2.5, 3), (3, 2.5),
+                                          (np.nan, 3), (3, 8.0)])
 def test_operator_matrix_refuses_negative_cuts(row_cut, col_cut):
-    # a negative row cut used to raise IndexError
+    # a negative row cut used to raise IndexError, a float cut
+    # AttributeError from the block rule
     w, phi = _dilation_traces(64)
     with pytest.raises(GridError, match=f"row_cut={row_cut}, col_cut={col_cut}"):
         operator_matrix(w, phi, row_cut, col_cut)
@@ -227,6 +267,23 @@ def test_column_pnorms_refuses_a_negative_cut():
     w, phi = _dilation_traces(64)
     with pytest.raises(ValueError, match="n_max"):
         column_pnorms(w, phi, 2.0, -1)
+
+
+@pytest.mark.parametrize("bad", [2.5, np.nan, 8.0])
+def test_column_pnorms_refuses_a_fractional_cut(bad):
+    # 2.5 used to raise AttributeError from the block rule
+    w, phi = _dilation_traces(64)
+    with pytest.raises(ValueError, match="column cut n_max must be an integer >= 0"):
+        column_pnorms(w, phi, 2.0, bad)
+
+
+def test_cuts_take_numpy_integers():
+    # np.int64 cuts used to raise AttributeError: no bit_length
+    w, phi = _dilation_traces(64)
+    a = operator_matrix(w, phi, np.int64(8), np.int64(8))
+    assert np.array_equal(a.entries, operator_matrix(w, phi, 8, 8).entries)
+    norms = column_pnorms(w, phi, 2.0, np.int64(8)).norms
+    assert np.array_equal(norms, column_pnorms(w, phi, 2.0, 8).norms)
 
 
 def _krylov_reference(head_w, head_phi, col_cut):
@@ -607,6 +664,16 @@ def test_moment_integral_of_the_unit_weight_holds_no_weight_array(spec, alpha):
         tracemalloc.stop()
     assert m == brute_force.moment_integral(w.values, phi.values, alpha)
     assert peak < 3.5 * g.size * 8
+
+
+def test_moment_integral_reads_a_zero_base_from_the_trace_as_divergent():
+    # on hsx the co-modulus underflows to 0 near t = 0, so 1 - |phi*|^2 read
+    # from the trace is 0 there: the unit weight's integral is (inf, divergent)
+    g = make_grid(1 << 12)
+    phi = parse_symbol("hsx")
+    trace = phi.trace(g)
+    assert np.any(np.abs(trace.values) == 1.0)
+    assert moment_integral(unit_weight(g).trace, trace, 1.0) == (np.inf, True)
 
 
 def test_moment_integral_rejects_bad_alpha():

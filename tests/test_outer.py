@@ -14,7 +14,7 @@ from hardylab.outer import (
     outer_from_modulus,
 )
 from hardylab.symbols import half
-from hardylab.weights import hs_weight
+from hardylab.weights import parse_weight
 
 
 def test_hilbert_transform_of_cosine():
@@ -88,6 +88,15 @@ def test_outer_modulus_matches_target_on_grid():
     w = outer_from_modulus(g.samples(u))
     assert np.allclose(w.boundary_modulus().values, u, rtol=1e-13)
     assert np.allclose(np.abs(w.boundary().values), u, rtol=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_outer_from_modulus_refuses_non_finite_or_negative_samples(bad):
+    g = make_grid(64)
+    u = np.full(64, 0.5)
+    u[3] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        outer_from_modulus(g.samples(u))
 
 
 def test_outer_not_log_integrable():
@@ -217,7 +226,7 @@ def test_outer_verdict_is_computed_once(monkeypatch):
     f.boundary()
     f(0.5)
     assert not f.log_divergent
-    w = hs_weight(half(), g)
+    w = parse_weight("hs", half(), g, strict=False)
     w.outer(0.5)
     assert not w.log_divergent
     assert len(calls) == 2

@@ -135,6 +135,12 @@ def test_beta_exp_modulus_at_pi():
                    - np.exp(-1)) < 1e-14
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, 2.5, np.nan])
+def test_beta_exp_refuses_beta_outside_its_range(beta):
+    with pytest.raises(ValueError, match=r"beta must be in \(0, 2\]"):
+        beta_exp(beta)
+
+
 def test_beta_exp_level_mass_rate():
     # c_k drops like 2^{-k/beta}
     g = make_grid(2**14)
@@ -357,6 +363,11 @@ def test_custom_outer_matches_table():
 def test_custom_outer_validation():
     with pytest.raises(ValueError):
         custom_outer([0.0, 1.0], [0.5, 1.5])
+    # tables that do not match: unequal lengths, 2-d, a single entry
+    for angles, modulus in (([0.0, 1.0, 2.0], [0.5, 0.5]), ([[0.0, 1.0]], [[0.5, 0.5]]),
+                            ([0.0], [0.5])):
+        with pytest.raises(ValueError, match="matching 1-d angle and modulus tables"):
+            custom_outer(angles, modulus)
     # a NaN modulus or a NaN or infinite angle, which used to pass
     for angles, modulus in (([0.0, 1.0], [0.5, np.nan]), ([0.0, np.nan], [0.5, 0.5]),
                             ([0.0, np.inf], [0.5, 0.5])):
@@ -375,6 +386,33 @@ def test_custom_outer_refuses_moduli_below_the_floor(modulus):
         custom_outer(np.arange(6.0), table)
     table[:2] = [2.0**-26] * 2
     assert np.min(np.abs(custom_outer(np.arange(6.0), table).trace(make_grid(64)).values)) > 0.0
+
+
+def test_custom_outer_co_is_the_hand_built_periodic_interpolation():
+    # np.interp(period=) against the reduced, sorted, end-extended table,
+    # bit for bit: 200 random tables, sorted and unsorted, angles in
+    # [-10, 10], read at grid, random and table angles
+    rng = np.random.default_rng(7)
+    g = make_grid(64)
+    for i in range(200):
+        size = int(rng.integers(2, 40))
+        angles = rng.uniform(-10.0, 10.0, size)
+        if i % 2:
+            angles.sort()
+        modulus = rng.uniform(0.05, 1.0, size)
+        phi = custom_outer(angles, modulus)
+        for t in (g.signed_angles(), g.angles, rng.uniform(-10.0, 10.0, 50), angles):
+            assert np.array_equal(phi.co(t), brute_force.table_co_modulus(angles, modulus, t))
+
+
+def test_custom_outer_keeps_its_own_table():
+    # the symbol reads a copy: writing to the caller's arrays afterwards
+    # does not move it
+    angles, modulus = np.linspace(0.0, 6.0, 8), np.full(8, 0.5)
+    phi = custom_outer(angles, modulus)
+    angles += 1.0
+    modulus[:] = 0.9
+    assert np.all(phi.co(make_grid(64).angles) == 0.5)
 
 
 _TABLE = (np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False),
@@ -412,6 +450,15 @@ def test_outer_type_symbol_is_the_outer_function_of_its_co_modulus(phi, log_modu
 def test_constant_refuses_nan(c):
     with pytest.raises(ValueError, match="NaN"):
         constant(c)
+
+
+@pytest.mark.parametrize("c, radius", [(1.0, "1.0"), (1.5, "1.5"), (np.nan, "nan"),
+                                       (0.6 + 0.8j, "1.0")])
+def test_constant_refuses_by_the_interior_domain(c, radius):
+    # the one rule of interior evaluation, hardylab.outer._interior_radius
+    with pytest.raises(ValueError, match=f"^radius {radius} is not inside the unit disk"):
+        constant(c)
+    assert constant(0.999).co(np.zeros(3)) == pytest.approx(0.001, rel=1e-12)
 
 
 # ---------------------------------------------------------------- levels
@@ -505,3 +552,13 @@ def test_parse_symbol_outer_file(tmp_path):
     np.savetxt(path, np.column_stack([g.angles, u]), delimiter=",")
     phi = parse_symbol(f"outer:{path}")
     assert np.allclose(1.0 - phi.co_modulus(g).values, u, atol=1e-12)
+
+
+def test_parse_symbol_refuses_a_table_without_two_columns(tmp_path):
+    for rows in ("0.0,0.5,1.0\n1.0,0.5,1.0\n", "0.5\n0.6\n"):
+        path = tmp_path / "table.csv"
+        path.write_text(rows)
+        with pytest.raises(ValueError, match="expected two CSV columns angle,modulus"):
+            parse_symbol(f"outer:{path}")
+    path.write_text("0.0,0.5\n3.0,0.6\n")
+    assert parse_symbol(f"outer:{path}").kind == "customouter"

@@ -9,6 +9,7 @@ from hardylab.outer import NotLogIntegrableError
 from hardylab.symbols import (
     beta_exp,
     constant,
+    custom_outer,
     extreme_not_exposed,
     half,
     hs_extremal,
@@ -21,7 +22,6 @@ from hardylab.weights import (
     box_decompact_weight,
     compactify_weight,
     default_gauge,
-    hs_weight,
     lens_decompact_weight,
     parse_weight,
     power_weight,
@@ -53,12 +53,12 @@ def test_unit_weight():
 
 
 def test_hs_weight_constant_zero_symbol():
-    w = hs_weight(constant(0.0), GRID)
+    w = parse_weight("hs", constant(0.0), GRID, strict=False)
     assert np.allclose(w.modulus.values, 1.0)
 
 
 def test_hs_weight_half_modulus_squared():
-    w = hs_weight(half(), GRID)
+    w = parse_weight("hs", half(), GRID, strict=False)
     t = GRID.signed_angles()
     assert np.allclose(w.density() + np.abs(np.cos(t / 2)), 1.0, atol=1e-13)
     _outer_normalization(w)
@@ -66,14 +66,14 @@ def test_hs_weight_half_modulus_squared():
 
 def test_hs_weight_extreme_divergent():
     # the recipe carries the verdict; parse_weight(strict=True) refuses it
-    assert hs_weight(extreme_not_exposed(), GRID).log_divergent
+    assert parse_weight("hs", extreme_not_exposed(), GRID, strict=False).log_divergent
     with pytest.raises(NotLogIntegrableError, match="hs: divergent log-integral"):
         parse_weight("hs", extreme_not_exposed(), GRID)
 
 
 def test_hs_weight_nonstrict_keeps_modulus():
     phi = hs_extremal()
-    w = hs_weight(phi, GRID)
+    w = parse_weight("hs", phi, GRID, strict=False)
     assert w.log_divergent
     with pytest.raises(NotLogIntegrableError):
         w.outer(0.5)
@@ -94,13 +94,32 @@ def test_power_moduli_are_the_powers_of_the_co_modulus(phi):
     # wherever co^K is a normal number
     g = make_grid(2**14)
     co = phi.co_modulus(g).values
-    gauge = default_gauge(1.0 - co)
-    for w, want in ((hs_weight(phi, g), co_power(co, 0.5)),
+    # the gauge g(co) = max(2, log(2 + log(1/co))) of the co-modulus itself
+    with np.errstate(divide="ignore", over="ignore"):
+        gauge = np.maximum(2.0, np.log(2.0 + np.log(1.0 / co)))
+    for w, want in ((parse_weight("hs", phi, g, strict=False), co_power(co, 0.5)),
                     (power_weight(phi, g, 2.0), co_power(co, 2.0)),
                     (power_weight(phi, g, 0.7), co_power(co, 0.7)),
                     (power_weight(phi, g, default_gauge), co_power(co, gauge))):
         assert np.allclose(w.modulus.values, want, rtol=1e-12,
                            atol=np.finfo(float).tiny), w.name
+
+
+def test_gauge_log_modulus_reads_the_co_modulus_near_the_contact_point():
+    # extreme at 2^18: co = e^{-1/|t|} runs down to 0, and log|w*| =
+    # g(co) log co to 1e-12 relative wherever co > 0, with co floored at
+    # 1e-300 inside g; read through the modulus 1 - co, the gauge lost co
+    # below 1e-16 and |w*| at t = 0.01 read 1.4e-284 for 2.0e-201
+    g = make_grid(2**18)
+    co = extreme_not_exposed().co_modulus(g).values
+    w = power_weight(extreme_not_exposed(), g, default_gauge)
+    pos = co > 0.0
+    assert np.count_nonzero(pos) < co.size
+    floored = np.maximum(co[pos], 1e-300)
+    want = np.maximum(2.0, np.log(2.0 + np.log(1.0 / floored))) * np.log(co[pos])
+    got = w.outer.log_modulus[pos]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert np.all(w.modulus.values[~pos] == 0.0)
 
 
 def test_power_weight_zero_exponent_is_unit():
@@ -280,6 +299,15 @@ def test_staircase_delta_refuses_beta_outside_the_betaexp_range(beta):
         stretched_staircase_delta(beta, 9)
 
 
+@pytest.mark.parametrize("k_max", [3.5, np.nan, 4.0, -1])
+def test_staircase_delta_refuses_a_level_count_that_is_not_an_integer(k_max):
+    # 3.5 used to return four deltas
+    with pytest.raises(WeightError, match="staircase k_max must be an integer >= 0"):
+        stretched_staircase_delta(2.0, k_max)
+    assert np.array_equal(stretched_staircase_delta(2.0, np.int64(4)),
+                          stretched_staircase_delta(2.0, 4))
+
+
 def test_lens_decompact_exponent():
     w = lens_decompact_weight(0.5, GRID)
     lam = lens(0.5).trace(GRID).values
@@ -341,6 +369,14 @@ def test_box_decompact_beta_half():
     _outer_normalization(w)
 
 
+def test_box_weight_needs_an_atom_past_the_first_corona():
+    # the table reaches the circle at angle 0 only, between the samples of
+    # an 8-point grid, whose atoms all sit at |z| = 0.3, in corona 0
+    phi = custom_outer([0.0, 0.05, np.pi, 2.0 * np.pi - 0.05], [1.0, 0.3, 0.3, 0.3])
+    with pytest.raises(WeightError, match="norm below one: no corona holds an atom"):
+        box_decompact_weight(phi, make_grid(8))
+
+
 # ---------------------------------------------------------------- parsing
 
 def test_parse_weight_forms():
@@ -357,6 +393,8 @@ def test_parse_weight_forms():
     assert parse_weight("lensdecomp", lam, g).name.startswith("lensdecomp")
     with pytest.raises(WeightError):
         parse_weight("lensdecomp", phi, g)
+    with pytest.raises(WeightError, match="staircase:default needs a betaexp symbol"):
+        parse_weight("staircase:default", lam, g)
     with pytest.raises(ValueError):
         parse_weight("bogus", phi, g)
 
@@ -399,7 +437,7 @@ REFUSAL_PAIRS = [
 def _direct_recipe(recipe, phi, g):
     """The recipe that ``parse_weight`` names, called directly."""
     return {
-        "hs": lambda: hs_weight(phi, g),
+        "hs": lambda: power_weight(phi, g, 0.5),
         "power:2": lambda: power_weight(phi, g, 2.0),
         "gauge": lambda: power_weight(phi, g, default_gauge),
         "compactify": lambda: compactify_weight(level_sets(phi, g))[0],
