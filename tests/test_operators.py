@@ -108,6 +108,22 @@ def test_schatten_estimate_reads_the_series_verdict():
     assert est.series.tail_exponent == pytest.approx(0.8, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [0.5, 0.9])
+def test_dilation_columns_keep_their_relative_accuracy(c):
+    # W = C_phi with phi = c rho z: column n is (c rho)^n e_n and s_n = c^n.
+    # Each column must be right relative to its own norm c^n, down to
+    # 0.5^256; a bound relative to the whole matrix cannot see a lost column
+    g = make_grid(1 << 14)
+    rho = np.exp(0.3j)
+    a = operator_matrix(unit_weight(g).trace, g.samples(c * rho * g.points),
+                        256, 256).entries
+    n = np.arange(257)
+    err = np.max(np.abs(a - np.diag((c * rho) ** n)), axis=0)
+    assert np.all(err <= 1e-12 * c**n)
+    s = np.linalg.svd(a, compute_uv=False)
+    assert np.all(np.abs(s - c**n) <= 1e-12 * c**n)
+
+
 def test_decay_fit_dilation_bias_is_pinned():
     # s_n = c^{n-1} for the dilation cz: exactly gamma = 1, b = log(1/c).
     # The 1-based index and the missing prefactor bias the fit; pin the bias.
@@ -297,12 +313,14 @@ def _krylov_reference(head_w, head_phi, col_cut):
     return out
 
 
-# R = row_cut + 1 rows take blocks of B = 8 columns at R = 101 and 129 and
-# of B = 16 at R = 257: cuts below, at and past one block, cuts that end
-# inside a block, and row cuts on either side of the column cut
+# R = row_cut + 1 rows take blocks of B = 8 columns at R = 101, 128 and 129
+# and of B = 16 at R = 257: cuts below, at and past one block, cuts that
+# end inside a block, and row cuts on either side of the column cut.  At
+# R = 128 the FFT length m = 256 is exactly 2R; at R = 1, B = 1 and every
+# column comes from the block loop
 @pytest.mark.parametrize("row_cut,col_cut", [(128, 0), (128, 5), (128, 8), (128, 67),
                                              (128, 128), (100, 200), (256, 37),
-                                             (256, 300)])
+                                             (256, 300), (127, 127), (0, 5)])
 def test_block_recursion_matches_krylov_reference(row_cut, col_cut):
     g = make_grid(1 << 11)
     phi = parse_symbol("lens:0.5")
