@@ -15,8 +15,7 @@ shift of 2 pi, not by a float modulo:
 passes pi, and :class:`hardylab.carleson.PullbackMeasure` adds it where
 ``np.angle`` is negative.  Only the table angles of
 :func:`hardylab.symbols.custom_outer`, which may be anything, are reduced
-by a modulo, once when the table is built, and the angles it is read at
-by one more, as ``np.interp(period=2 pi)`` reduces both.  A point r e^{it}
+by a modulo, the one inside ``np.interp(period=2 pi)``.  A point r e^{it}
 is built from cos t and sin t in one complex buffer (:func:`_polar`), not
 by a complex exponential.
 

@@ -115,10 +115,8 @@ def _analytic_head(trace: BoundarySamples, rows: int, name: str) -> np.ndarray:
     negative frequencies N/2 < k < N is the total N sum |x|^2 (Parseval)
     less the sum of |X_k|^2 over k <= N/2.  A zero-stride trace (a constant
     c, as for the unit weight) runs no FFT: its head is c and zeros, the
-    FFT's own values.
-    The pair is the slower choice, 6.9 ms at N = 2^18 against 3.8 ms for
-    one complex FFT (numpy 2.4, one thread), kept because the complex FFT
-    raised the matrix route's peak RSS 53.8 -> 57.8 MiB (its N-length scratch).
+    FFT's own values.  One complex FFT would be faster, but its N-length
+    scratch raises the peak RSS.
     """
     n = trace.grid.size
     values = np.asarray(trace.values)
@@ -157,16 +155,14 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
     on the first R of each factor), and stable: T is a compression of
     T_phi, so ||T|| <= ||phi||_inf <= 1.
 
-    T is never formed: T col is ifft(fft(col, m) fft(phi[:R], m))[:R], m
-    the power of two at or above 2R - 1, so no term wraps around.  Columns
-    1..B-1 and the head of phi^B (B = 2^floor(log2(R)/2)) come from the
-    same products, one column at a time; every further block of B columns
-    is one batched product with that head, col_{s..s+B-1} = T^B
-    col_{s-B..s-1}, as stable as a single step since ||T^B|| <= 1.  An
-    entry errs by about eps log2(m) times the norms of its factors, so
-    each column keeps its accuracy relative to its own norm.  Cost after
-    one FFT per trace: O(col_cut R log R) flops, independent of N.  The
-    entries are the Fortran-order transpose of a buffer of columns.
+    T is never formed: T col is ifft(fft(col, m) fft(phi[:R], m))[:R], m the
+    power of two >= 2R - 1, so no term wraps around.  Columns 1..B-1, with
+    B = 2^floor(log2(R)/2), come one at a time, with the head of phi^B if
+    more follow; each further block of B columns is one batched product with
+    that head, col_{s..s+B-1} = T^B col_{s-B..s-1}, as stable as one step
+    since ||T^B|| <= 1.  An entry errs by about eps log2(m) times its
+    factors' norms, so each column keeps its accuracy relative to its own
+    norm.  Cost after one FFT per trace: O(col_cut R log R), independent of N.
 
     Both traces must be finite and analytic: one with more than 1% of its
     energy at negative frequencies (e.g. the flat-phase trace of a
@@ -182,22 +178,26 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
         raise GridError(f"cuts must be integers in 0..N/4 - 1 = {n // 4 - 1}, got "
                         f"row_cut={row_cut!r}, col_cut={col_cut!r}")
     rows, cols = int(row_cut) + 1, int(col_cut) + 1
-    power = _analytic_head(phitrace, rows, "symbol")  # the head of phi^k, k = 1
+    phi = _analytic_head(phitrace, rows, "symbol")
     krylov = np.empty((cols, rows), dtype=complex)  # row n holds column n
     krylov[0] = _analytic_head(wtrace, rows, "weight")
     b = _block_size(rows)
     m = 1 << (2 * rows - 2).bit_length()  # 2^k >= 2R - 1: no wrap-around
-    step = np.fft.fft(power, m)
-    for col in range(1, min(b, cols)):  # column col and the head of phi^(col+1)
-        pair = np.fft.fft(np.stack((krylov[col - 1], power)), m, axis=1)
-        pair *= step
-        krylov[col], power = np.fft.ifft(pair, axis=1)[:, :rows]
-    step = np.fft.fft(power, m)  # the head of phi^B whenever cols > B
-    for start in range(b, cols, b):
-        stop = min(start + b, cols)
-        block = np.fft.fft(krylov[start - b:stop - b], m, axis=1)
-        block *= step
-        krylov[start:stop] = np.fft.ifft(block, axis=1)[:, :rows]
+    step = np.fft.fft(phi, m)
+    # column n, and the head of phi^(n+1) only if a block loop follows
+    series = np.stack((krylov[0], phi))[:2 if cols > b else 1]
+    for col in range(1, min(b, cols)):
+        spectrum = np.fft.fft(series, m, axis=1)
+        spectrum *= step
+        series = np.fft.ifft(spectrum, axis=1)[:, :rows]
+        krylov[col] = series[0]
+    if cols > b:
+        step = np.fft.fft(series[1], m)  # the head of phi^B
+        for start in range(b, cols, b):
+            stop = min(start + b, cols)
+            block = np.fft.fft(krylov[start - b:stop - b], m, axis=1)
+            block *= step
+            krylov[start:stop] = np.fft.ifft(block, axis=1)[:, :rows]
     return OperatorMatrix(entries=krylov.T, row_cut=row_cut, col_cut=col_cut,
                           grid_size=n)
 

@@ -300,9 +300,7 @@ def custom_outer(angles, modulus) -> Symbol:
     Angles may be given in [0, 2*pi) or (-pi, pi]; the modulus is
     interpolated periodically and linearly.  Angles must be finite, values
     in [2^-26, 1]: below 2^-26, rounding the co-modulus 1 - m moves log m by
-    more than 2^-28.  The table is reduced mod 2 pi, sorted and padded
-    once, as ``np.interp(period=2 pi)`` does on every call, with the same
-    result bit for bit.
+    more than 2^-28.
     """
     a = np.array(angles, dtype=float)
     m = np.array(modulus, dtype=float)
@@ -311,17 +309,12 @@ def custom_outer(angles, modulus) -> Symbol:
     if not (np.all(np.isfinite(a)) and np.all(m >= 2.0**-26) and np.all(m <= 1.0)):
         raise ValueError("custom outer angles must be finite and the modulus in "
                          f"[2^-26 = 1.49e-08, 1], not NaN; smallest {m.min():g}")
-    a %= TWO_PI
-    order = np.argsort(a)
-    a, m = a[order], m[order]
-    a = np.concatenate((a[-1:] - TWO_PI, a, a[:1] + TWO_PI))
-    m = np.concatenate((m[-1:], m, m[:1]))
     return Symbol(
         kind="customouter",
         label="outer:<table>",
         params=(),
         singular_angles=(),
-        co=lambda t: 1.0 - np.interp(t % TWO_PI, a, m),
+        co=lambda t: 1.0 - np.interp(t, a, m, period=TWO_PI),
     )
 
 

@@ -360,20 +360,6 @@ def test_custom_outer_matches_table():
     assert np.allclose(np.abs(tr.values), u, rtol=1e-12)
 
 
-def test_custom_outer_reads_the_table_as_periodic_interp():
-    # the table is reduced, sorted and padded once, at construction; a
-    # shuffled table with angles over four periods reads bit for bit what
-    # np.interp(period=2 pi) reads
-    rng = np.random.default_rng(5)
-    angles = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 64)
-    modulus = rng.uniform(0.1, 1.0, 64)
-    phi = custom_outer(angles, modulus)
-    t = np.concatenate((make_grid(1024).signed_angles(), angles,
-                        rng.uniform(-10.0, 10.0, 256)))
-    assert np.array_equal(phi.co(t),
-                          1.0 - np.interp(t, angles, modulus, period=2.0 * np.pi))
-
-
 def test_custom_outer_validation():
     with pytest.raises(ValueError):
         custom_outer([0.0, 1.0], [0.5, 1.5])
