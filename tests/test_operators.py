@@ -8,7 +8,7 @@ import pytest
 
 from hardylab import operators
 from hardylab.grid import GridError, make_grid
-from hardylab.symbols import parse_symbol
+from hardylab.symbols import constant, parse_symbol
 from hardylab.weights import parse_weight, unit_weight
 from hardylab.carleson import PullbackMeasure, luecking_sum, pullback_graded
 from hardylab.operators import (
@@ -145,14 +145,70 @@ def test_decay_fit_refuses_a_jagged_spectrum():
     assert not fit.ok and fit.residual > 0.5 and fit.window == (9, 64)
 
 
-@pytest.mark.parametrize("spec,wspec", [("lens:0.5", "hs"), ("half", "unit"),
-                                        ("betaexp:0.5", "hs")])
-def test_singular_values_sum_to_frobenius(spec, wspec):
+@pytest.mark.parametrize("spec,wspec,angle", [
+    pytest.param("lens:0.5", "hs", 0.0, id="lens:0.5-hs"),
+    pytest.param("half", "unit", 0.0, id="half-unit"),
+    pytest.param("betaexp:0.5", "hs", 0.0, id="betaexp:0.5-hs"),
+    pytest.param("lens:0.5", "hs", 0.7, id="lens:0.5-hs-rotated")])
+def test_singular_values_sum_to_frobenius(spec, wspec, angle):
     g = make_grid(1 << 12)
     phi = parse_symbol(spec)
-    a = operator_matrix(parse_weight(wspec, phi, g).trace, phi.trace(g), 96, 96)
+    p = g.samples(np.exp(1j * angle) * phi.trace(g).values)
+    a = operator_matrix(parse_weight(wspec, phi, g).trace, p, 96, 96)
     s = singular_values(a).values
     assert np.sum(s**2) == pytest.approx(a.frobenius_sq(), rel=1e-12)
+
+
+@pytest.fixture
+def svd_inputs(monkeypatch):
+    """Every matrix handed to np.linalg.svd while the test runs."""
+    seen, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda x, **kw: seen.append(x) or svd(x, **kw))
+    return seen
+
+
+def test_singular_values_of_a_complex_pair_are_the_complex_svd(svd_inputs):
+    # w = 1 + (0.3+0.4i) z and phi = z (0.5 + (0.2-0.3i) z): no column
+    # phases make this matrix real, so it keeps the complex SVD, bit for bit
+    g = make_grid(1 << 12)
+    z = g.points
+    a = operator_matrix(g.samples(1 + (0.3 + 0.4j) * z),
+                        g.samples(z * (0.5 + (0.2 - 0.3j) * z)), 64, 64)
+    s = singular_values(a).values
+    assert [x.dtype for x in svd_inputs] == [complex]
+    assert np.array_equal(s, np.linalg.svd(a.entries, compute_uv=False))
+
+
+def test_zero_columns_keep_phase_one(svd_inputs):
+    # phi = 0: columns 1..16 of the unit weight's matrix are zero
+    g = make_grid(1 << 10)
+    a = operator_matrix(unit_weight(g).trace, constant(0.0).trace(g), 16, 16)
+    assert not np.any(a.entries[:, 1:])
+    s = singular_values(a).values
+    assert [x.dtype for x in svd_inputs] == [float]
+    assert np.array_equal(s, np.eye(17)[0])
+    assert np.array_equal(s, np.linalg.svd(a.entries, compute_uv=False))
+
+
+@pytest.mark.parametrize("spec,wspec,cut", [("lens:0.5", "unit", 128),
+                                            ("lens:0.5", "hs", 256),
+                                            ("dilation", "unit", 256)])
+def test_matrix_route_holds_no_subnormals(spec, wspec, cut, svd_inputs):
+    # subnormal entries slow the SVD down: graded columns must end in
+    # rounding noise or zeros, both in the matrix and in the real matrix
+    # of its column-phased entries that the SVD reads
+    g = make_grid(1 << 14)
+    if spec == "dilation":
+        w, p = unit_weight(g).trace, g.samples(0.5 * np.exp(0.3j) * g.points)
+    else:
+        phi = parse_symbol(spec)
+        w, p = parse_weight(wspec, phi, g).trace, phi.trace(g)
+    a = operator_matrix(w, p, cut, cut)
+    singular_values(a)
+    tiny = np.finfo(float).tiny
+    for part in (a.entries.real, a.entries.imag, *svd_inputs):
+        assert not np.any((part != 0) & (np.abs(part) < tiny))
+    assert [x.dtype for x in svd_inputs] == [float]
 
 
 def test_truncation_study_stable_on_dilation():
