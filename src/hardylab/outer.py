@@ -27,7 +27,11 @@ The spectrum of real data is conjugate-symmetric, so the half that rfft
 keeps determines it; that is half the work and memory of a complex FFT.
 The trace is assembled in polar form, e^u (cos Hu + i sin Hu), in one
 complex buffer: real exponentials and real sines in place of the complex
-exponential of u + i Hu, equal to it up to rounding.
+exponential of u + i Hu, equal to it up to rounding.  A log-modulus that is
+exactly even on the grid, u_{N-1-j} = u_j (that of a symbol with real
+Taylor coefficients and of the recipes built on one), has an odd conjugate
+function, so the trace is conjugate-even: e^u and the polar form are built
+on the upper half-grid and mirrored, after a full-length Hilbert transform.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import (BoundaryGrid, BoundarySamples, _block_size, _log_modulus,
-                   _polar, coefficients_from_fft, refined_mean)
+                   _mirror, _polar, coefficients_from_fft, refined_mean)
 
 __all__ = [
     "NotLogIntegrableError",
@@ -143,11 +147,20 @@ class OuterFunction:
 
     def boundary(self) -> BoundarySamples:
         """exp(u + i*Hu); the modulus with flat phase when divergent, which
-        every |w|-only diagnostic treats identically."""
+        every |w|-only diagnostic treats identically.
+
+        When u is exactly even, u_{N-1-j} = u_j, the exponential and the
+        polar form are taken on the upper half-grid and conjugate-mirrored;
+        Hu is odd there up to the rounding of its FFTs.
+        """
         if self.log_divergent:
             return self.boundary_modulus()
         u = self.log_modulus
-        return self.grid.samples(_polar(_hilbert_transform(u), np.exp(u)))
+        hu = _hilbert_transform(u)
+        h = len(u) // 2
+        if np.array_equal(u[:h], u[h:][::-1]):
+            return self.grid.samples(_mirror(_polar(hu[:h], np.exp(u[:h])), True))
+        return self.grid.samples(_polar(hu, np.exp(u)))
 
 
 def outer_from_modulus(u: BoundarySamples) -> OuterFunction:

@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import (TWO_PI, BoundaryGrid, BoundarySamples, _level_cap, _polar,
-                   make_grid)
+from .grid import (TWO_PI, BoundaryGrid, BoundarySamples, _level_cap, _mirror,
+                   _polar, make_grid)
 from .outer import OuterFunction, _interior_radius
 
 __all__ = [
@@ -76,6 +76,16 @@ class Symbol:
     refused.  The interior evaluator of each reference size is built on
     first use and kept: its N/2 Taylor coefficients, or its refusal when
     the log-modulus is not integrable.
+
+    ``real`` states that phi has real Taylor coefficients, so that
+    phi(conj z) = conj phi(z): the co-modulus is even in t and the trace
+    conjugate-even.  Every catalog symbol has it, a :func:`constant` has it
+    when c is real, and a table (:func:`custom_outer`) does not; a direct
+    construction states it, there is no default.  On a grid a real symbol
+    evaluates ``co`` and ``boundary`` on the upper half-grid only and
+    mirrors the samples (:func:`hardylab.grid._mirror`): its co-modulus, its
+    trace, its interior reference grids and its :func:`level_sets` read
+    half the samples.
     """
 
     kind: str
@@ -83,6 +93,7 @@ class Symbol:
     params: tuple
     singular_angles: tuple
     co: Callable
+    real: bool
     analytic: Optional[Callable] = None
     boundary: Optional[Callable] = None
 
@@ -93,18 +104,28 @@ class Symbol:
         # interior evaluators of an outer-type symbol, by reference size
         object.__setattr__(self, "_interior", {})
 
+    def _angles(self, grid: BoundaryGrid) -> np.ndarray:
+        """The angles the symbol is evaluated at: the upper half-grid when
+        ``real``, all signed angles otherwise."""
+        return grid._upper_angles() if self.real else grid.signed_angles()
+
+    def _whole(self, values: np.ndarray, conj: bool = False) -> np.ndarray:
+        """Samples at :meth:`_angles` completed to the whole grid."""
+        return _mirror(values, conj) if self.real else values
+
     def co_modulus(self, grid: BoundaryGrid) -> BoundarySamples:
         """Samples of 1 - |phi*| at the grid angles, cancellation-free."""
-        return grid.samples(self.co(grid.signed_angles()))
+        return grid.samples(self._whole(self.co(self._angles(grid))))
 
     def _outer(self, grid: BoundaryGrid) -> OuterFunction:
         with np.errstate(divide="ignore"):  # co = 1 is log|phi*| = -inf
-            return OuterFunction(grid, np.log1p(-self.co(grid.signed_angles())))
+            log_modulus = np.log1p(-self.co(self._angles(grid)))
+        return OuterFunction(grid, self._whole(log_modulus))
 
     def trace(self, grid: BoundaryGrid) -> BoundarySamples:
         if self.boundary is None:
             return self._outer(grid).boundary()
-        return grid.samples(self.boundary(grid.signed_angles()))
+        return grid.samples(self._whole(self.boundary(self._angles(grid)), True))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -192,6 +213,7 @@ def lens(theta: float) -> Symbol:
         params=(theta,),
         singular_angles=(0.0, np.pi),
         co=co_fn,
+        real=True,
         analytic=core,
         boundary=boundary_fn,
     )
@@ -217,6 +239,7 @@ def half() -> Symbol:
         params=(),
         singular_angles=(0.0,),
         co=lambda t: 2.0 * np.sin(t / 4.0) ** 2,
+        real=True,
         analytic=lambda z: (1.0 + z) / 2.0,
         boundary=boundary_fn,
     )
@@ -246,6 +269,7 @@ def beta_exp(beta: float) -> Symbol:
         params=(beta,),
         singular_angles=(0.0,),
         co=lambda t: -np.expm1(-np.abs(np.sin(t / 2.0)) ** beta),
+        real=True,
         analytic=(lambda z: np.exp((z - 1.0) / 2.0)) if closed else None,
         boundary=boundary_fn if closed else None,
     )
@@ -269,6 +293,7 @@ def extreme_not_exposed() -> Symbol:
         params=(),
         singular_angles=(0.0,),
         co=co_fn,
+        real=True,
     )
 
 
@@ -291,6 +316,7 @@ def hs_extremal() -> Symbol:
         params=(),
         singular_angles=(0.0,),
         co=co_fn,
+        real=True,
     )
 
 
@@ -300,7 +326,10 @@ def custom_outer(angles, modulus) -> Symbol:
     Angles may be given in [0, 2*pi) or (-pi, pi]; the modulus is
     interpolated periodically and linearly.  Angles must be finite, values
     in [2^-26, 1]: below 2^-26, rounding the co-modulus 1 - m moves log m by
-    more than 2^-28.
+    more than 2^-28.  The table is prepared once as ``np.interp(period=)``
+    prepares it on each call: angles reduced mod 2 pi and sorted, with one
+    wrap-around entry past each end.  A table need not be even, so the
+    symbol is not ``real``.
     """
     a = np.array(angles, dtype=float)
     m = np.array(modulus, dtype=float)
@@ -309,12 +338,18 @@ def custom_outer(angles, modulus) -> Symbol:
     if not (np.all(np.isfinite(a)) and np.all(m >= 2.0**-26) and np.all(m <= 1.0)):
         raise ValueError("custom outer angles must be finite and the modulus in "
                          f"[2^-26 = 1.49e-08, 1], not NaN; smallest {m.min():g}")
+    a %= TWO_PI
+    order = np.argsort(a)
+    a, m = a[order], m[order]
+    xp = np.concatenate((a[-1:] - TWO_PI, a, a[:1] + TWO_PI))
+    fp = np.concatenate((m[-1:], m, m[:1]))
     return Symbol(
         kind="customouter",
         label="outer:<table>",
         params=(),
         singular_angles=(),
-        co=lambda t: 1.0 - np.interp(t, a, m, period=TWO_PI),
+        co=lambda t: 1.0 - np.interp(t % TWO_PI, xp, fp),
+        real=False,
     )
 
 
@@ -329,6 +364,7 @@ def constant(c: complex) -> Symbol:
         params=(c,),
         singular_angles=(),
         co=lambda t: np.full_like(t, 1.0 - abs(c), dtype=float),
+        real=c.imag == 0,
         analytic=lambda z: np.full_like(z, c, dtype=complex),
         boundary=lambda t: np.full(np.shape(t), c),
     )
@@ -367,23 +403,29 @@ def level_sets(phi: Symbol, grid: BoundaryGrid) -> LevelSets:
     when k <= -e.  Clamping co to [h_{k_top} / 2, 1/2] first, with fmin and
     fmax, keeps every sample on its side of every threshold and sends NaN
     and inf to level 0 and zero and negatives to k_top.
+
+    A ``real`` symbol's co-modulus is even, so only the upper half-grid is
+    binned: its level index is mirrored and its counts are doubled.
     """
     n = grid.size
     k_top = _level_cap(n)
     thresholds = 2.0 ** -np.arange(k_top + 1)
-    clamped = np.fmin(phi.co_modulus(grid).values, 0.5)
+    clamped = np.fmin(phi.co(phi._angles(grid)), 0.5)
     np.fmax(clamped, 0.5 * thresholds[-1], out=clamped)
     # the mantissas overwrite the samples, which are read once
-    exponent = np.frexp(clamped, out=(clamped, np.empty(n, dtype=np.intc)))[1]
+    exponent = np.empty(clamped.shape, dtype=np.intc)
+    np.frexp(clamped, out=(clamped, exponent))
     del clamped
     level = np.negative(exponent, out=exponent).astype(np.int8)
     del exponent
     counts = np.bincount(level, minlength=k_top + 1)
+    if phi.real:
+        counts *= 2
     masses = np.cumsum(counts[::-1])[::-1] / n
     return LevelSets(
         grid=grid,
         thresholds=thresholds,
-        level_index=level,
+        level_index=phi._whole(level),
         masses=masses,
     )
 

@@ -37,13 +37,20 @@ def test_grid_angles_offset():
 @pytest.mark.parametrize("n", [8, 2**10, 2**20])
 def test_grid_arrays_match_the_closed_formulas(n):
     # the arrays a grid computes on access are the bits of the formulas
-    # t_j = 2 pi (j + 1/2) / N, t_j - 2 pi where t_j > pi, and e^{i t_j}
+    # t_j = 2 pi (j + 1/2) / N, e^{i t_j}, and for the signed angles t_j on
+    # the upper half and -t_{N-1-j} on the lower half
     g = make_grid(n)
+    h = n // 2
     angles = TWO_PI * (np.arange(n) + 0.5) / n
     assert np.array_equal(g.angles, angles)
-    assert np.array_equal(g.signed_angles(),
-                          np.where(angles > np.pi, angles - TWO_PI, angles))
+    signed = g.signed_angles()
+    assert np.array_equal(signed, np.concatenate((angles[:h], -angles[:h][::-1])))
     assert np.array_equal(g.points, np.exp(1j * angles))
+    # next to t = 0- each is -2 pi (N - j - 1/2) / N to 1 ulp; t_j - 2 pi
+    # would be off by 3.9e-11 relative at N = 2^20
+    j = np.arange(n - min(64, h), n)
+    near = -TWO_PI * (n - j - 0.5) / n
+    assert np.all(np.abs(signed[j] - near) <= np.spacing(np.abs(near)))
 
 
 def _traced(fn, *args):

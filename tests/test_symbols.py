@@ -1,12 +1,13 @@
 """Symbol catalog: boundary moduli, level sets, self-map checks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hardylab.grid import make_grid, log_integral
-from hardylab.outer import OuterFunction
+from hardylab.grid import TWO_PI, _polar, make_grid, log_integral
+from hardylab.outer import OuterFunction, _hilbert_transform
 from hardylab.symbols import (
     REFERENCE_MAX,
     Symbol,
@@ -102,10 +103,10 @@ def test_boundary_closed_form_matches_the_complex_path(phi):
 def test_closed_form_symbol_needs_both_forms():
     with pytest.raises(ValueError, match="both analytic and boundary"):
         Symbol("custom", "interior only", (), (), co=lambda t: 0.5 + 0 * t,
-               analytic=lambda z: z / 2)
+               real=False, analytic=lambda z: z / 2)
     with pytest.raises(ValueError, match="both analytic and boundary"):
         Symbol("custom", "trace only", (), (), co=lambda t: 0.5 + 0 * t,
-               boundary=lambda t: np.exp(1j * t) / 2)
+               real=False, boundary=lambda t: np.exp(1j * t) / 2)
 
 
 # ---------------------------------------------------------------- half
@@ -269,8 +270,6 @@ def _counting(co):
 
 
 def test_outer_symbol_keeps_its_interior_per_reference_size():
-    import dataclasses
-
     counted, calls = _counting(beta_exp(0.5).co)
     phi = dataclasses.replace(beta_exp(0.5), co=counted)
     z = 0.9 * np.exp(1j * np.linspace(0, 6, 7))
@@ -281,8 +280,10 @@ def test_outer_symbol_keeps_its_interior_per_reference_size():
     assert len(calls) == 1
     phi(0.999)  # a larger reference size is built once
     phi(0.999j)
-    assert calls == [4096, 32768]
-    # what is kept evaluates as a fresh outer function does
+    # a real symbol reads co on the upper half of each reference grid
+    assert calls == [2048, 16384]
+    # what is kept evaluates as a fresh outer function on every signed
+    # angle does
     g = make_grid(4096)
     fresh = OuterFunction(g, np.log1p(-beta_exp(0.5).co(g.signed_angles())))(z)
     assert np.array_equal(first, fresh)
@@ -292,7 +293,7 @@ def test_outer_symbol_keeps_its_refusal():
     from hardylab.outer import NotLogIntegrableError
 
     counted, calls = _counting(lambda t: -np.expm1(-1.0 / np.abs(t)))
-    phi = Symbol("custom", "divergent", (), (0.0,), co=counted)
+    phi = Symbol("custom", "divergent", (), (0.0,), co=counted, real=False)
     for _ in range(2):
         with pytest.raises(NotLogIntegrableError):
             phi(0.5)
@@ -403,6 +404,16 @@ def test_custom_outer_co_is_the_hand_built_periodic_interpolation():
         phi = custom_outer(angles, modulus)
         for t in (g.signed_angles(), g.angles, rng.uniform(-10.0, 10.0, 50), angles):
             assert np.array_equal(phi.co(t), brute_force.table_co_modulus(angles, modulus, t))
+    # and np.interp(period=2 pi) on the raw table, which the symbol prepares
+    # once: unsorted, angles in both ranges, read on a 2^16 grid
+    angles = np.concatenate((rng.uniform(-np.pi, 0.0, 30), rng.uniform(0.0, TWO_PI, 34)))
+    rng.shuffle(angles)
+    modulus = rng.uniform(0.05, 1.0, angles.size)
+    phi = custom_outer(angles, modulus)
+    g = make_grid(2**16)
+    for t in (g.signed_angles(), g.angles, rng.uniform(-10.0, 10.0, 500), angles):
+        want = 1.0 - np.interp(t, angles, modulus, period=TWO_PI)
+        assert np.array_equal(phi.co(t), want)
 
 
 def test_custom_outer_keeps_its_own_table():
@@ -444,6 +455,52 @@ def test_outer_type_symbol_is_the_outer_function_of_its_co_modulus(phi, log_modu
             g = make_grid(_reference_size(r))
             want = OuterFunction(g, log_modulus(g.signed_angles()))(z)
             assert _largest_relative(phi(z), want) <= 1e-15
+
+
+_REAL = [lens(0.3), lens(0.5), lens(0.7), half(), beta_exp(2.0), beta_exp(0.5),
+         extreme_not_exposed(), hs_extremal(), constant(0.3)]
+
+
+@pytest.mark.parametrize("n", [2**12, 2**16])
+@pytest.mark.parametrize("phi", _REAL, ids=[phi.label for phi in _REAL])
+def test_real_symbol_mirrors_its_upper_half(phi, n):
+    # evaluated on the upper half-grid and mirrored, a real symbol's
+    # co-modulus, level sets and closed-form trace are the bits of the same
+    # symbol evaluated on every signed angle; an outer-type trace is
+    # conjugate-even bit for bit, the full-length polar form on the upper
+    # half and within 1e-15 of it on the lower half, where the Hilbert
+    # transform is odd only up to rounding
+    assert phi.real
+    full = dataclasses.replace(phi, real=False)
+    g = make_grid(n)
+    with np.errstate(divide="ignore", over="ignore"):
+        co = phi.co_modulus(g).values
+        assert np.array_equal(co, full.co_modulus(g).values)
+        assert np.array_equal(co, phi.co(g.signed_angles()))
+        got, want = level_sets(phi, g), level_sets(full, g)
+        assert np.array_equal(got.level_index, want.level_index)
+        assert np.array_equal(got.masses, want.masses)
+        trace = phi.trace(g).values
+        if phi.boundary is not None:
+            assert np.array_equal(trace, full.trace(g).values)
+        else:
+            u = np.log1p(-co)
+            want = _polar(_hilbert_transform(u), np.exp(u))
+            assert np.array_equal(trace[::-1], np.conj(trace))
+            assert np.array_equal(trace[:n // 2], want[:n // 2])
+            assert _largest_relative(trace, want) <= 1e-15
+
+
+@pytest.mark.parametrize("phi", [constant(0.3 + 0.2j), custom_outer(*_TABLE)],
+                         ids=["complex constant", "table"])
+def test_symbol_that_is_not_real_is_evaluated_on_every_angle(phi):
+    assert not phi.real
+    g = make_grid(256)
+    calls = []
+    counted = dataclasses.replace(phi, co=lambda t: calls.append(t.size) or phi.co(t))
+    assert np.array_equal(counted.co_modulus(g).values, phi.co(g.signed_angles()))
+    level_sets(counted, g)
+    assert calls == [256, 256]
 
 
 @pytest.mark.parametrize("c", [np.nan, complex(0.0, np.nan)])
@@ -522,7 +579,7 @@ def test_level_sets_match_loop_rule():
     co[100:100 + special.size] = special
     # a symbol whose co-modulus on this grid is exactly the crafted samples
     phi = Symbol(kind="table", label="table", params=(), singular_angles=(),
-                 co=lambda t: co, analytic=lambda z: z,
+                 co=lambda t: co, real=False, analytic=lambda z: z,
                  boundary=lambda t: np.exp(1j * t))
     ls = level_sets(phi, g)
     assert np.isin(ls.thresholds, co).all()

@@ -4,8 +4,8 @@ and the one refusal rule for a log-divergent weight."""
 import numpy as np
 import pytest
 
-from hardylab.grid import make_grid
-from hardylab.outer import NotLogIntegrableError
+from hardylab.grid import _polar, make_grid
+from hardylab.outer import NotLogIntegrableError, _hilbert_transform
 from hardylab.symbols import (
     beta_exp,
     constant,
@@ -367,6 +367,32 @@ def test_box_decompact_beta_half():
         got = window_mass(nu, center, 2.0 ** -float(k))
         assert got >= 2.0 ** -float(k) - 1e-12
     _outer_normalization(w)
+
+
+@pytest.mark.parametrize("spec, symbol", [
+    ("hs", "lens:0.5"), ("power:2", "half"), ("gauge", "betaexp:2"),
+    ("compactify", "extreme"), ("staircase:default", "betaexp:2"), ("boxdecomp", "half"),
+])
+def test_weight_trace_mirrors_only_an_even_log_modulus(spec, symbol):
+    # a recipe on a real symbol has an even log-modulus and a trace that is
+    # conjugate-even bit for bit: the full-length polar form on the upper
+    # half, and its phase on the lower half up to the FFT's rounding of Hu,
+    # log2(N) eps max |Hu|.  The box weight on half is not even, and its
+    # trace is that polar form bit for bit
+    n = 2**12
+    w = parse_weight(spec, parse_symbol(symbol), make_grid(n))
+    u, trace = w.outer.log_modulus, w.trace.values
+    hu = _hilbert_transform(u)
+    want = _polar(hu, np.exp(u))
+    if spec == "boxdecomp":
+        assert not np.array_equal(u, u[::-1])
+        assert np.array_equal(trace, want)
+    else:
+        assert np.array_equal(u, u[::-1])
+        assert np.array_equal(trace[::-1], np.conj(trace))
+        assert np.array_equal(trace[:n // 2], want[:n // 2])
+        bound = np.log2(n) * np.finfo(float).eps * np.max(np.abs(hu))
+        assert np.all(np.abs(trace - want) <= bound * np.abs(want))
 
 
 def test_box_weight_needs_an_atom_past_the_first_corona():
