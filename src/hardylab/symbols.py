@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import (TWO_PI, BoundaryGrid, BoundarySamples, _level_cap, _mirror,
-                   _polar, make_grid)
+from .grid import (TWO_PI, BoundaryGrid, BoundarySamples, GridError, _level_cap,
+                   _mirror, _polar, make_grid)
 from .outer import OuterFunction, _interior_radius
 
 __all__ = [
@@ -326,10 +326,8 @@ def custom_outer(angles, modulus) -> Symbol:
     Angles may be given in [0, 2*pi) or (-pi, pi]; the modulus is
     interpolated periodically and linearly.  Angles must be finite, values
     in [2^-26, 1]: below 2^-26, rounding the co-modulus 1 - m moves log m by
-    more than 2^-28.  The table is prepared once as ``np.interp(period=)``
-    prepares it on each call: angles reduced mod 2 pi and sorted, with one
-    wrap-around entry past each end.  A table need not be even, so the
-    symbol is not ``real``.
+    more than 2^-28.  A table need not be even, so the symbol is not
+    ``real``.
     """
     a = np.array(angles, dtype=float)
     m = np.array(modulus, dtype=float)
@@ -338,17 +336,12 @@ def custom_outer(angles, modulus) -> Symbol:
     if not (np.all(np.isfinite(a)) and np.all(m >= 2.0**-26) and np.all(m <= 1.0)):
         raise ValueError("custom outer angles must be finite and the modulus in "
                          f"[2^-26 = 1.49e-08, 1], not NaN; smallest {m.min():g}")
-    a %= TWO_PI
-    order = np.argsort(a)
-    a, m = a[order], m[order]
-    xp = np.concatenate((a[-1:] - TWO_PI, a, a[:1] + TWO_PI))
-    fp = np.concatenate((m[-1:], m, m[:1]))
     return Symbol(
         kind="customouter",
         label="outer:<table>",
         params=(),
         singular_angles=(),
-        co=lambda t: 1.0 - np.interp(t % TWO_PI, xp, fp),
+        co=lambda t: 1.0 - np.interp(t, a, m, period=TWO_PI),
         real=False,
     )
 
@@ -410,7 +403,12 @@ def level_sets(phi: Symbol, grid: BoundaryGrid) -> LevelSets:
     n = grid.size
     k_top = _level_cap(n)
     thresholds = 2.0 ** -np.arange(k_top + 1)
-    clamped = np.fmin(phi.co(phi._angles(grid)), 0.5)
+    angles = phi._angles(grid)
+    co = np.asarray(phi.co(angles))
+    if co.shape != angles.shape:
+        raise GridError(f"expected {angles.size} samples, got shape {co.shape}")
+    clamped = np.fmin(co, 0.5)
+    del co
     np.fmax(clamped, 0.5 * thresholds[-1], out=clamped)
     # the mantissas overwrite the samples, which are read once
     exponent = np.empty(clamped.shape, dtype=np.intc)

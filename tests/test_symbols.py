@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.grid import TWO_PI, _polar, make_grid, log_integral
+from hardylab.grid import TWO_PI, GridError, _polar, make_grid, log_integral
 from hardylab.outer import OuterFunction, _hilbert_transform
 from hardylab.symbols import (
     REFERENCE_MAX,
@@ -404,8 +404,8 @@ def test_custom_outer_co_is_the_hand_built_periodic_interpolation():
         phi = custom_outer(angles, modulus)
         for t in (g.signed_angles(), g.angles, rng.uniform(-10.0, 10.0, 50), angles):
             assert np.array_equal(phi.co(t), brute_force.table_co_modulus(angles, modulus, t))
-    # and np.interp(period=2 pi) on the raw table, which the symbol prepares
-    # once: unsorted, angles in both ranges, read on a 2^16 grid
+    # and np.interp(period=2 pi) on the raw table: unsorted, angles in
+    # both ranges, read on a 2^16 grid
     angles = np.concatenate((rng.uniform(-np.pi, 0.0, 30), rng.uniform(0.0, TWO_PI, 34)))
     rng.shuffle(angles)
     modulus = rng.uniform(0.05, 1.0, angles.size)
@@ -588,6 +588,12 @@ def test_level_sets_match_loop_rule():
     assert np.array_equal(ls.level_index, level)
     assert np.array_equal(ls.masses, masses)
     assert np.all(ls.level_index[35:40] == 0)
+    # samples of the wrong length are refused, also for a real symbol,
+    # which is asked for the upper half-grid only
+    with pytest.raises(GridError, match="expected 2048 samples"):
+        level_sets(phi, make_grid(2**11))
+    with pytest.raises(GridError, match="expected 512 samples"):
+        level_sets(dataclasses.replace(phi, real=True), g)
 
 
 # ---------------------------------------------------------------- parsing
