@@ -10,8 +10,8 @@ Two routes to the singular values:
   two real FFTs per trace (the real and imaginary parts), independent
   of N, and stable since ||T_phi|| <= ||phi||_inf <= 1.  A step of T_phi
   is an FFT product of truncated power series, too long to wrap around;
-  the columns come in blocks of B ~ sqrt(R), each the block before times
-  the head of phi^B in one batched product.  ``singular_values``
+  the columns come in blocks of width w = 1, 2, ..., B ~ sqrt(R), then B,
+  each the w before times the head of phi^w.  ``singular_values``
   multiplies each column by the conjugate phase of its largest entry (a
   zero column by 1); when the imaginary part of that matrix AD is at most
   REAL_SVD_TOL = 64 eps of its Frobenius norm, as for a symbol and weight
@@ -167,13 +167,14 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
     T_phi, so ||T|| <= ||phi||_inf <= 1.
 
     T is never formed: T col is ifft(fft(col, m) fft(phi[:R], m))[:R], m the
-    power of two >= 2R - 1, so no term wraps around.  Columns 1..B-1, with
-    B = 2^floor(log2(R)/2), come one at a time, with the head of phi^B if
-    more follow; each further block of B columns is one batched product with
-    that head, col_{s..s+B-1} = T^B col_{s-B..s-1}, as stable as one step
-    since ||T^B|| <= 1.  An entry errs by about eps log2(m) times its
-    factors' norms, so each column keeps its accuracy relative to its own
-    norm.  Cost after one FFT per trace: O(col_cut R log R), independent of N.
+    power of two >= 2R - 1, so no term wraps around.  Each block is one
+    batched product col_{s..s+w-1} = T^w col_{s-w..s-1} with the head of
+    phi^w, as stable as one step since ||T^w|| <= 1; w doubles from 1 to
+    B = 2^floor(log2(R)/2), squaring that head to R terms, then stays at B,
+    so no block outgrows B x m.  An entry errs by about eps log2(m) times
+    its factors' norms, so each column keeps its accuracy relative to its
+    own norm.  Cost after two real FFTs per trace: O(col_cut R log R),
+    independent of N.
 
     Both traces must be finite and analytic: one with more than 1% of its
     energy at negative frequencies (e.g. the flat-phase trace of a
@@ -194,21 +195,17 @@ def operator_matrix(wtrace: BoundarySamples, phitrace: BoundarySamples,
     krylov[0] = _analytic_head(wtrace, rows, "weight")
     b = _block_size(rows)
     m = 1 << (2 * rows - 2).bit_length()  # 2^k >= 2R - 1: no wrap-around
-    step = np.fft.fft(phi, m)
-    # column n, and the head of phi^(n+1) only if a block loop follows
-    series = np.stack((krylov[0], phi))[:2 if cols > b else 1]
-    for col in range(1, min(b, cols)):
-        spectrum = np.fft.fft(series, m, axis=1)
-        spectrum *= step
-        series = np.fft.ifft(spectrum, axis=1)[:, :rows]
-        krylov[col] = series[0]
-    if cols > b:
-        step = np.fft.fft(series[1], m)  # the head of phi^B
-        for start in range(b, cols, b):
-            stop = min(start + b, cols)
-            block = np.fft.fft(krylov[start - b:stop - b], m, axis=1)
-            block *= step
-            krylov[start:stop] = np.fft.ifft(block, axis=1)[:, :rows]
+    step = np.fft.fft(phi, m)  # the head of phi^width
+    start = width = 1
+    while start < cols:
+        stop = min(start + width, cols)
+        block = np.fft.fft(krylov[start - width:stop - width], m, axis=1)
+        block *= step
+        krylov[start:stop] = np.fft.ifft(block, axis=1)[:, :rows]
+        start = stop
+        if width < b:
+            width *= 2
+            step = np.fft.fft(np.fft.ifft(step * step)[:rows], m)
     return OperatorMatrix(entries=krylov.T, row_cut=row_cut, col_cut=col_cut,
                           grid_size=n)
 
@@ -501,7 +498,7 @@ def truncation_study(trace_factory, cuts: Sequence[tuple]) -> TruncationStudy:
     """Recompute the spectrum at growing cuts (row, col, N) and compare.
 
     ``trace_factory(N)`` must return the (wtrace, phitrace) pair on the
-    N-point grid; cut triples must be integers, increasing.
+    N-point grid (else GridError); cut triples must be integers, increasing.
     """
     if len(cuts) < 2:
         raise ValueError("need at least two cuts to compare")
@@ -512,6 +509,9 @@ def truncation_study(trace_factory, cuts: Sequence[tuple]) -> TruncationStudy:
     spectra = []
     for row_cut, col_cut, n in cuts:
         w, phi = trace_factory(n)
+        if w.grid.size != n:
+            raise GridError(f"trace_factory({n}) returned traces on the "
+                            f"{w.grid.size}-point grid")
         spectra.append(singular_values(operator_matrix(w, phi, row_cut,
                                                        col_cut)))
     changes = []

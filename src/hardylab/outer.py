@@ -112,11 +112,15 @@ class OuterFunction:
     remain meaningful), but no analytic function has it: interior
     evaluation is refused and the boundary trace is the modulus with flat
     phase.  Interior values sum the Taylor series of U by Horner's rule in
-    z^B over blocks of B coefficients.
+    z^B over blocks of B coefficients.  A log-modulus without exactly one
+    sample per grid point raises GridError, as :class:`BoundarySamples` does.
     """
 
     grid: BoundaryGrid
     log_modulus: np.ndarray
+
+    def __post_init__(self):
+        self.grid.samples(self.log_modulus)  # one sample per grid point
 
     @cached_property
     def log_divergent(self) -> bool:

@@ -226,6 +226,15 @@ def test_truncation_study_refuses_a_shrinking_cut(cuts):
         truncation_study(_dilation_traces, cuts)
 
 
+def test_truncation_study_refuses_traces_off_the_stated_grid():
+    # a factory that ignores N used to give spectra on one 2^12 grid, read
+    # as a refinement from 2^12 to 2^14
+    with pytest.raises(GridError, match=r"trace_factory\(16384\) returned traces "
+                                        r"on the 4096-point grid"):
+        truncation_study(lambda n: _dilation_traces(1 << 12),
+                         [(32, 32, 1 << 12), (64, 64, 1 << 14)])
+
+
 def test_truncation_study_needs_two_cuts():
     with pytest.raises(ValueError, match="at least two cuts"):
         truncation_study(_dilation_traces, [(32, 32, 1 << 10)])
@@ -369,14 +378,19 @@ def _krylov_reference(head_w, head_phi, col_cut):
     return out
 
 
-# R = row_cut + 1 rows take blocks of B = 8 columns at R = 101, 128 and 129
-# and of B = 16 at R = 257: cuts below, at and past one block, cuts that
-# end inside a block, and row cuts on either side of the column cut.  At
-# R = 128 the FFT length m = 256 is exactly 2R; at R = 1, B = 1 and every
-# column comes from the block loop
+# Blocks of widths 1, 2, 4, ... fill columns 1, 2..3, 4..7, ... until the
+# width reaches B = 8 (R = row_cut + 1 = 101, 128, 129) or B = 16 (R = 257)
+# and stays there.  The cuts end inside a doubling (128, 5), exactly where
+# the last doubling ends (128, 3), (128, 7) and (256, 15), at the first
+# column (256, 16) or the last (256, 31) of the first block of width B,
+# inside later blocks, and at row cuts on either side of the column cut.
+# At R = 128 the FFT length m = 256 is exactly 2R; at R = 1, B = 1 and
+# every block is one column wide
 @pytest.mark.parametrize("row_cut,col_cut", [(128, 0), (128, 5), (128, 8), (128, 67),
                                              (128, 128), (100, 200), (256, 37),
-                                             (256, 300), (127, 127), (0, 5)])
+                                             (256, 300), (127, 127), (0, 5),
+                                             (128, 3), (128, 7), (256, 15),
+                                             (256, 16), (256, 31)])
 def test_block_recursion_matches_krylov_reference(row_cut, col_cut):
     g = make_grid(1 << 11)
     phi = parse_symbol("lens:0.5")
@@ -390,6 +404,24 @@ def test_block_recursion_matches_krylov_reference(row_cut, col_cut):
     a = operator_matrix(w, p, row_cut, col_cut).entries
     assert a.shape == ref.shape
     assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("cut", [128, 256])
+def test_block_width_stops_doubling_at_b(cut):
+    # blocks of at most B rows of m entries (m the power of two >= 2R - 1)
+    # keep the traced peak near 1.5 times the matrix; blocks that kept
+    # doubling past B would hold up to half the columns, about 5 times it
+    g = make_grid(1 << 11)
+    phi = parse_symbol("lens:0.5")
+    p = g.samples(np.exp(0.7j) * phi.trace(g).values)
+    w = parse_weight("hs", phi, g).trace
+    tracemalloc.start()
+    try:
+        a = operator_matrix(w, p, cut, cut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * a.entries.nbytes
 
 
 def test_refuses_nan_trace():

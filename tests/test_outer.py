@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from hardylab import outer as outer_module
-from hardylab.grid import coefficients_from_fft, make_grid, refined_mean
+from hardylab.grid import GridError, coefficients_from_fft, make_grid, refined_mean
 from hardylab.outer import (
     NotLogIntegrableError,
     OuterFunction,
@@ -97,6 +97,13 @@ def test_outer_from_modulus_refuses_non_finite_or_negative_samples(bad):
     u[3] = bad
     with pytest.raises(ValueError, match="finite and nonnegative"):
         outer_from_modulus(g.samples(u))
+
+
+@pytest.mark.parametrize("shape", [(2**11,), (2**9,), (2**10, 1)])
+def test_outer_function_refuses_samples_off_its_grid(shape):
+    # the interior values used to read the coefficients of a longer FFT
+    with pytest.raises(GridError, match="expected 1024 samples, got shape"):
+        OuterFunction(make_grid(2**10), np.zeros(shape))
 
 
 def test_outer_not_log_integrable():

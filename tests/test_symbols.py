@@ -300,6 +300,22 @@ def test_outer_symbol_keeps_its_refusal():
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_outer_symbol_refuses_a_co_of_the_wrong_length(real):
+    # two samples per angle asked for: the interior call used to read the
+    # first N/2 coefficients of a 2N-point FFT and return 0.1556 at z = 0.3,
+    # where the symbol of the right-length co gives 0.3945
+    co = lambda t: 0.5 + 0.25 * np.cos(np.repeat(t, 2))
+    phi = Symbol("custom", "doubled", (), (), co=co, real=real)
+    g = make_grid(2**10)
+    for call in (lambda: phi(0.3), lambda: phi.trace(g), lambda: phi.co_modulus(g)):
+        with pytest.raises(GridError, match=r"expected \d+ samples, got shape"):
+            call()
+    right = Symbol("custom", "right", (), (), co=lambda t: 0.5 + 0.25 * np.cos(t),
+                   real=real)
+    assert right(0.3) == pytest.approx(0.3945, abs=1e-4)
+
+
 # ------------------------------------------------- extreme / hs-extremal
 
 def test_extreme_modulus_values():
